@@ -5,8 +5,10 @@ A product here is ``B(z) = z^m * prod_k c_k (z - a_k)/(1 - conj(a_k) z)``
 with ``c_k = (1 - conj(a_k))/(1 - a_k)``, so that ``B(0) = 0`` with local
 degree at least ``m`` and ``B(1) = 1``.  The free zeros ``a_k`` form an
 interior divisor of degree ``e``; the forward map sends it to the degree-e
-divisor of free critical points, and the inverse is recovered by homotopy
-continuation in coefficient space.
+divisor of free critical points.  The inverse solves for the coefficients
+of the zero polynomial by Newton's method on the conditions that the
+critical numerator vanish at the prescribed points (with multiplicity),
+continued along the scaled target and checked by one forward map.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-import mpmath
 
 from .divisor import (CIRCLE_TOL, Divisor, REGION_INTERIOR, matching_distance)
 from .errors import ContinuationError, NumericalError, PreconditionError
@@ -24,6 +25,12 @@ from .hypgeo import hull_contains
 
 #: A denominator factor smaller than this counts as pole proximity.
 POLE_TOL = 1e-14
+#: Largest ``|B'|`` accepted at a computed free critical point.  Roots
+#: of the expanded numerator above it are refined against the factored
+#: form.  In 30 000 seeded draws of e = 23 zeros inside radius 0.9, 267
+#: had such a root, 21 of them above 1e-3 and 1e-2 or more from every
+#: true critical point; after refinement all read below 1e-15.
+CRIT_TOL = 1e-6
 
 __all__ = [
     "BlaschkeProduct",
@@ -72,14 +79,7 @@ class BlaschkeProduct:
         self._q = np.conj(self._p)[::-1].copy()
         p1 = npoly.polyval(1.0, self._p)
         self.normalization = complex(np.conj(p1) / p1)
-        # numerator of B'(z)/z^{m-1} up to the normalization:
-        # M = (m P + z P') Q - z P Q'
-        dp = npoly.polyder(self._p)
-        dq = npoly.polyder(self._q)
-        zdp = np.concatenate(([0.0 + 0j], dp)) if zeros else np.array([0.0 + 0j])
-        zdq = np.concatenate(([0.0 + 0j], dq)) if zeros else np.array([0.0 + 0j])
-        self._mnum = (npoly.polymul(m * self._p + zdp, self._q)
-                      - npoly.polymul(self._p, zdq))
+        self._mnum = _critical_numerator(self._p, m)
 
     @property
     def e(self) -> int:
@@ -147,6 +147,33 @@ class RamificationResult:
                 f"residual_count={self.residual_count})")
 
 
+def _critical_numerator(p: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of ``M = (mP + zP')Q - zPQ'`` with ``Q = rev(conj P)``,
+    the numerator of ``B'(z)/z^(m-1)`` up to the normalization."""
+    n = np.arange(len(p))
+    q = np.conj(p[::-1])
+    return np.convolve(m * p + n * p, q) - np.convolve(p, n * q)
+
+
+def _numerator_partials(p: np.ndarray,
+                        m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wirtinger derivatives of ``_critical_numerator(p, m)`` in the low
+    coefficients ``s_k = p[k]`` of the monic ``p``: column ``k`` of the
+    first matrix holds the coefficients of ``dM/ds_k = z^k[(m+k)Q - zQ']``,
+    of the second those of ``dM/dconj(s_k) = z^(e-k)[mP + zP' - (e-k)P]``."""
+    e = len(p) - 1
+    q = np.conj(p[::-1])
+    n = np.arange(2 * e + 1)[:, None]
+    k = np.arange(e)[None, :]
+    i = n - k
+    ds = np.where((i >= 0) & (i <= e),
+                  (m + 2 * k - n) * q[np.clip(i, 0, e)], 0)
+    i = n - e + k
+    dsbar = np.where((i >= 0) & (i <= e),
+                     (m + n - 2 * e + 2 * k) * p[np.clip(i, 0, e)], 0)
+    return ds, dsbar
+
+
 def from_zero_divisor(Z: Divisor, m: int) -> BlaschkeProduct:
     """Construct the unique normalized product with free zero divisor
     ``Z`` and forced local degree ``m`` at the origin."""
@@ -176,10 +203,52 @@ def _polish_roots(coeffs: np.ndarray, roots: np.ndarray,
 
 def _roots_mpmath(coeffs: np.ndarray) -> np.ndarray:
     """Higher-precision retry for the critical numerator roots."""
+    import mpmath  # only this rare path needs it; keeps package import light
     with mpmath.workdps(50):
         desc = [mpmath.mpc(c) for c in coeffs[::-1]]
         rts = mpmath.polyroots(desc, maxsteps=200, extraprec=120)
     return np.array([complex(r) for r in rts])
+
+
+def _deriv_modulus(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
+    """``|B'|`` at the points ``z``, from the factored numerator
+    ``M = mPQ + z sum_k (1-|a_k|^2) prod_(j!=k) (z-a_j)(1-conj(a_j)z)``,
+    which keeps the relative accuracy that the expanded coefficients of
+    ``M`` lose at high degree."""
+    a = np.asarray(B._zeros)
+    h = 1.0 - np.conj(a) * z[:, None]
+    g = (z[:, None] - a) * h
+    # prod_(j!=k) g_j as the products of the factors before and after k
+    ones = np.ones((len(z), 1))
+    others = (np.cumprod(np.hstack((ones, g[:, :-1])), axis=1)
+              * np.cumprod(np.hstack((ones, g[:, :0:-1])), axis=1)[:, ::-1])
+    mv = B.m * g.prod(axis=1) + z * (others @ (1.0 - abs(a) ** 2))
+    return abs(z) ** (B.m - 1) * abs(mv) / abs(h.prod(axis=1)) ** 2
+
+
+def _refine_critical(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
+    """Eight Aberth steps on the interior roots ``z`` of ``M``, whose
+    other roots are their reflections ``1/conj(z)``.  ``M'/M`` comes from
+    the factored form ``M = PQ f`` with ``f = m + z sum_k w_k/g_k``,
+    ``g_k = (z-a_k)(1-conj(a_k)z)`` and ``w_k = 1-|a_k|^2``; a point
+    sitting on a multiple zero of ``B`` gets no finite step and stays."""
+    a = np.asarray(B._zeros)
+    ac, w = np.conj(a), 1.0 - abs(a) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            zc = z[:, None]
+            g = (zc - a) * (1.0 - ac * zc)
+            f = B.m + z * (w / g).sum(axis=1)
+            df = (w * (ac * zc ** 2 - a) / g ** 2).sum(axis=1)
+            log_dm = (df / f + (1.0 / (zc - a)).sum(axis=1)
+                      - (ac / (1.0 - ac * zc)).sum(axis=1))
+            gaps = zc - z
+            np.fill_diagonal(gaps, np.inf)
+            # 1/(z_j - 1/conj(z_i)) written to stay finite at z_i = 0
+            step = 1.0 / (log_dm - (1.0 / gaps).sum(axis=1)
+                          - (np.conj(z) / (zc * np.conj(z) - 1.0)).sum(axis=1))
+            z = np.where(np.isfinite(step), z - step, z)
+    return z
 
 
 def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
@@ -188,7 +257,10 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     The forced ``(m-1)``-fold critical point at the origin is removed
     analytically; the remaining numerator roots split into exactly
     ``e`` inside the disk (collected, with multiplicity by merging) and
-    a mirrored set outside (counted in ``residual_count``).
+    a mirrored set outside (counted in ``residual_count``).  Every
+    interior root is checked with one vectorized evaluation of ``|B'|``;
+    when any exceeds ``CRIT_TOL``, all are refined by Aberth iteration
+    on the factored numerator and checked again.
 
     Raises
     ------
@@ -196,43 +268,32 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
         If ``e == 0`` (no free zeros, hence no free critical points).
     NumericalError
         If the interior root count differs from ``e`` even after the
-        higher-precision retry.
+        higher-precision retry, or if a refined root still has
+        ``|B'| > CRIT_TOL`` or left the disk.
     """
     e = B.e
     if e < 1:
         raise PreconditionError("critical_divisor needs at least one free zero")
     coeffs = _trimmed(B._mnum)
     roots = _polish_roots(coeffs, npoly.polyroots(coeffs))
-    interior = [complex(z) for z in roots if abs(z) < 1.0]
+    interior = roots[abs(roots) < 1.0]
     if len(interior) != e:
         roots = _polish_roots(coeffs, _roots_mpmath(coeffs), steps=1)
-        interior = [complex(z) for z in roots if abs(z) < 1.0]
+        interior = roots[abs(roots) < 1.0]
         if len(interior) != e:
             raise NumericalError(
                 f"found {len(interior)} interior critical points, expected {e}")
-    free_ram = Divisor([(z, 1) for z in interior], REGION_INTERIOR)
+    if np.max(_deriv_modulus(B, interior)) > CRIT_TOL:
+        interior = _refine_critical(B, interior)
+        worst = float(np.max(_deriv_modulus(B, interior)))
+        if not (worst <= CRIT_TOL and np.all(abs(interior) < 1.0)):
+            raise NumericalError(
+                f"a computed critical point has |B'| = {worst:.3g} "
+                f"or lies outside the disk")
+    free_ram = Divisor([(complex(z), 1) for z in interior], REGION_INTERIOR)
     if free_ram.degree != e:
         raise NumericalError("critical divisor degree lost in merging")
     return RamificationResult(free_ram, len(roots) - len(interior))
-
-
-def _crit_coeff_vector(zero_coeffs: np.ndarray, m: int) -> Optional[np.ndarray]:
-    """Lower coefficients of the monic polynomial whose roots are the
-    free critical points of the product with monic zero polynomial
-    ``z^e + zero_coeffs``; None when the configuration is invalid."""
-    e = len(zero_coeffs)
-    p = np.concatenate((zero_coeffs, [1.0 + 0j]))
-    roots = _polish_roots(p, npoly.polyroots(p))
-    if np.any(np.abs(roots) >= 1.0):
-        return None
-    try:
-        B = BlaschkeProduct(
-            Divisor([(complex(z), 1) for z in roots], REGION_INTERIOR), m)
-        ram = critical_divisor(B)
-    except (PreconditionError, NumericalError):
-        return None
-    c = npoly.polyfromroots(ram.free_ram.points())
-    return c[:e]
 
 
 def zeros_from_critical(R: Divisor, m: int,
@@ -240,94 +301,92 @@ def zeros_from_critical(R: Divisor, m: int,
     """Invert the divisor map: find ``B`` whose free critical divisor
     is ``R`` (degree ``e >= 1``, interior).
 
-    The solve runs homotopy continuation along the scaled family
-    ``t * R`` from ``t = 0``, where the answer is ``B = z^{e+m}``, with
-    damped Newton correction in the coefficient space of the monic zero
-    polynomial (elementary symmetric functions of the zeros, which
-    quotient out their ordering).  Step size halves on Newton failure
-    down to a floor of 1e-6.
+    The unknowns are the low coefficients ``s`` of the monic zero
+    polynomial ``P = z^e + sum_k s_k z^k``.  With ``Q = rev(conj P)``,
+    the free critical points are the interior roots of
+    ``M = (mP + zP')Q - zPQ'``, so Newton's method solves the Hermite
+    conditions ``M^(i)(t*r) = 0`` for each atom ``r`` of ``R`` and each
+    ``i < mult(r)``, on the 2e x 2e real system given by the closed-form
+    Wirtinger derivatives of ``M`` (``_numerator_partials``); no roots
+    are found inside the solve.  ``newton_tol`` bounds the largest
+    ``|M^(i)(t*r)|`` at every accepted step, whose zeros must also lie
+    strictly inside the disk.
+
+    The target is continued along ``t*R``: the first step starts from
+    the exact small-``t`` solution ``s_k = (m+e)c_k/(m+k)`` (``c`` the
+    low coefficients of the monic polynomial with roots ``t*R``), later
+    ones from secant extrapolation.  The step starts as the whole path,
+    halves on rejection down to 1e-6 and doubles on acceptance.  One
+    forward map checks the result.
 
     Raises
     ------
     ContinuationError
         On step underflow; carries the last parameter value that still
         converged.
+    NumericalError
+        If the forward map of the result misses ``R`` by more than 1e-7.
     """
     e = R.degree
     if e < 1:
         raise PreconditionError("zeros_from_critical needs degree >= 1")
     R = Divisor(R.atoms, REGION_INTERIOR)
-    r_pts = np.asarray(R.points(), dtype=complex)
-
-    def target_coeffs(t: float) -> np.ndarray:
-        return npoly.polyfromroots(t * r_pts)[:e]
-
-    def residual(s: np.ndarray, t: float) -> Optional[np.ndarray]:
-        c = _crit_coeff_vector(s, m)
-        if c is None:
-            return None
-        return c - target_coeffs(t)
+    r = np.array([z for z, mu in R.atoms for _ in range(mu)], dtype=complex)
+    order = np.array([i for _, mu in R.atoms for i in range(mu)])
+    # condition j reads M^(order_j)(t r_j) from the coefficients of M:
+    # row j is n!/(n - order_j)! (t r_j)^(n - order_j), zero for n < order_j
+    n = np.arange(2 * e + 1)
+    falling = np.ones((e, 2 * e + 1))
+    for i in range(int(order.max())):
+        falling *= np.where(order[:, None] > i, n - i, 1)
+    power = np.maximum(n - order[:, None], 0)
 
     def newton(s: np.ndarray, t: float) -> Optional[np.ndarray]:
-        s = s.copy()
-        f = residual(s, t)
-        if f is None:
-            return None
-        for _ in range(40):
+        conditions = falling * (t * r[:, None]) ** power
+        last = math.inf
+        for _ in range(12):
+            p = np.append(s, 1.0)
+            f = conditions @ _critical_numerator(p, m)
             err = float(np.max(np.abs(f)))
             if err < newton_tol:
                 return s
-            jac = np.empty((2 * e, 2 * e))
-            h = 1e-7 * max(1.0, float(np.max(np.abs(s))))
-            for k in range(e):
-                for part, col in ((1.0, 2 * k), (1j, 2 * k + 1)):
-                    sp = s.copy()
-                    sp[k] += h * part
-                    fp = residual(sp, t)
-                    if fp is None:
-                        return None
-                    df = (fp - f) / h
-                    jac[0::2, col] = df.real
-                    jac[1::2, col] = df.imag
-            rhs = np.empty(2 * e)
-            rhs[0::2] = -f.real
-            rhs[1::2] = -f.imag
-            try:
-                delta = np.linalg.solve(jac, rhs)
-            except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-            step = delta[0::2] + 1j * delta[1::2]
-            lam = 1.0
-            improved = None
-            for _ in range(10):
-                cand = s + lam * step
-                fc = residual(cand, t)
-                if fc is not None and float(np.max(np.abs(fc))) < err:
-                    improved = (cand, fc)
-                    break
-                lam *= 0.5
-            if improved is None:
+            if err >= last:
                 return None
-            s, f = improved
+            last = err
+            ds, dsbar = _numerator_partials(p, m)
+            a, c = conditions @ ds, conditions @ dsbar
+            jac = np.block([[(a + c).real, (c - a).imag],
+                            [(a + c).imag, (a - c).real]])
+            try:
+                delta = np.linalg.solve(jac, -np.concatenate((f.real, f.imag)))
+            except np.linalg.LinAlgError:
+                return None
+            s = s + delta[:e] + 1j * delta[e:]
         return None
 
-    s = np.zeros(e, dtype=complex)  # zeros of z^{e+m}: all at the origin
-    t, dt = 0.0, 0.25
-    last_good = 0.0
+    s_prev = s = np.zeros(e, dtype=complex)
+    t_prev = t = 0.0
+    dt = 1.0
     while t < 1.0:
         t_next = min(1.0, t + dt)
-        s_next = newton(s, t_next)
-        if s_next is None:
-            dt *= 0.5
-            if dt < 1e-6:
-                raise ContinuationError(
-                    f"continuation stalled at t = {last_good:.6g}", last_good)
-            continue
-        s, t, last_good = s_next, t_next, t_next
-        dt = min(dt * 2.0, 0.25)
+        if t == 0.0:
+            guess = (m + e) / (m + np.arange(e)) * npoly.polyfromroots(
+                t_next * r)[:e]
+        else:
+            guess = s + (t_next - t) / (t - t_prev) * (s - s_prev)
+        s_next = newton(guess, t_next)
+        if s_next is not None:
+            roots = npoly.polyroots(np.append(s_next, 1.0))
+            if np.all(np.abs(roots) < 1.0):
+                s_prev, t_prev, s, t = s, t, s_next, t_next
+                dt *= 2.0
+                continue
+        dt *= 0.5
+        if dt < 1e-6:
+            raise ContinuationError(
+                f"continuation stalled at t = {t:.6g}", t)
 
-    p = np.concatenate((s, [1.0 + 0j]))
-    roots = _polish_roots(p, npoly.polyroots(p))
+    roots = _polish_roots(np.append(s, 1.0), roots)
     B = BlaschkeProduct(
         Divisor([(complex(z), 1) for z in roots], REGION_INTERIOR), m)
     check = matching_distance(critical_divisor(B).free_ram, R)

@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from blaschkediv import (BlaschkeProduct, Divisor, NumericalError,
                          from_zero_divisor, matching_distance,
                          multiplier_at_zero, phi_1m_closed_form, walsh_check,
                          zeros_from_critical)
+from blaschkediv.blaschke import _critical_numerator, _numerator_partials
 
 
 def interior_divisor(points) -> Divisor:
@@ -194,6 +198,99 @@ def test_round_trip_zeros_to_critical_and_back():
         R = critical_divisor(from_zero_divisor(Z, m)).free_ram
         Z_back = zeros_from_critical(R, m).free_zeros
         assert matching_distance(Z_back, Z) <= 1e-8
+
+
+def test_numerator_partials_match_central_difference():
+    rng = np.random.default_rng(306)
+    h = 1e-6
+    for e in range(1, 7):
+        for m in range(1, 4):
+            p = np.append(rng.normal(size=e) + 1j * rng.normal(size=e), 1.0)
+            ds, dsbar = _numerator_partials(p, m)
+            for k in range(e):
+                # real and imaginary directions of s_k
+                for u, want in ((1.0, ds[:, k] + dsbar[:, k]),
+                                (1j, 1j * (ds[:, k] - dsbar[:, k]))):
+                    up, down = p.copy(), p.copy()
+                    up[k] += h * u
+                    down[k] -= h * u
+                    fd = (_critical_numerator(up, m)
+                          - _critical_numerator(down, m)) / (2.0 * h)
+                    scale = max(1.0, float(np.max(np.abs(want))))
+                    assert np.max(np.abs(fd - want)) <= 1e-6 * scale
+
+
+def test_zeros_from_critical_multiple_atom():
+    R = Divisor([(0.3 + 0.1j, 2), (-0.5j, 1)], "interior")
+    B = zeros_from_critical(R, 1)
+    assert B.e == 3
+    # the forward map splits the double atom by about sqrt(eps)
+    assert matching_distance(critical_divisor(B).free_ram, R) <= 1e-7
+
+
+@pytest.mark.parametrize("e", [8, 12])
+def test_zeros_from_critical_high_degree(e):
+    rng = np.random.default_rng(300 + e)
+    Z = random_zeros(rng, e, 0.7)
+    m = int(rng.integers(1, 4))
+    R = critical_divisor(from_zero_divisor(Z, m)).free_ram
+    B = zeros_from_critical(R, m)
+    assert matching_distance(critical_divisor(B).free_ram, R) <= 1e-8
+    assert matching_distance(B.free_zeros, Z) <= 1e-8
+
+
+#: Draw 6794 of e = 23 zeros inside radius 0.9 (m = 3): the roots of the
+#: expanded critical numerator include points far from any critical point.
+DRAW_6794 = [
+    complex(-0.790370558389701, 0.19986033116597876),
+    complex(-0.7491235193950853, -0.1893988411873782),
+    complex(-0.5252948334596039, -0.6737213911082071),
+    complex(-0.4497962642536429, 0.6061473709905476),
+    complex(-0.3998046819780143, -0.7160370583109992),
+    complex(-0.18493500653630054, -0.2196597536311368),
+    complex(-0.16670387455825167, -0.5475692132048833),
+    complex(-0.15502548034310482, -0.8240597414352446),
+    complex(-0.11293574300608189, -0.84217724107976),
+    complex(-0.08962740836459206, -0.1653962746463287),
+    complex(-0.08546497807404153, -0.35873937958830676),
+    complex(-0.02599771969570353, -0.3967594314120894),
+    complex(-0.021568000206401906, -0.46323635723017176),
+    complex(-0.006763749566029074, -0.6148403026135439),
+    complex(0.047725332985497006, -0.7700994112304815),
+    complex(0.06734382949553255, -0.8907518823080194),
+    complex(0.1515429382080544, -0.6564263965618846),
+    complex(0.19902504263555215, -0.7702498535517741),
+    complex(0.22296435171658668, -0.44491312752368384),
+    complex(0.34002110608199543, -0.319354203939547),
+    complex(0.4598828076104585, 0.4464926318381051),
+    complex(0.5646977107615982, -0.38544482473322156),
+    complex(0.6075876567138315, -0.16233004195598338),
+]
+
+
+def test_critical_divisor_returns_only_critical_points():
+    B = from_zero_divisor(interior_divisor(DRAW_6794), 3)
+    pts = critical_divisor(B).free_ram.points()
+    assert len(pts) == 23
+    for c in pts:
+        # |B'| = |B| |m/c + sum (1-|a|^2)/((c-a)(1-conj(a)c))| from the
+        # product form, independent of the numerator the map solves
+        log_deriv = 3 / c + sum((1 - abs(a) ** 2) / ((c - a) * (1 - a.conjugate() * c))
+                                for a in DRAW_6794)
+        assert abs(B.eval(c) * log_deriv) <= 1e-9
+    assert walsh_check(B)
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    import blaschkediv
+    src = os.path.dirname(os.path.dirname(blaschkediv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, blaschkediv; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_multiplier_examples():
