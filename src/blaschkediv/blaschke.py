@@ -191,11 +191,13 @@ def _trimmed(coeffs: np.ndarray) -> np.ndarray:
 
 def _polish_roots(coeffs: np.ndarray, roots: np.ndarray,
                   steps: int = 2) -> np.ndarray:
-    dcoeffs = npoly.polyder(coeffs)
+    """Newton steps on ``roots`` of the polynomial ``coeffs`` (low to
+    high); with 2-D ``coeffs``, each row of ``roots`` uses its own row."""
+    dcoeffs = npoly.polyder(coeffs, axis=-1)
     out = roots.astype(complex)
     for _ in range(steps):
-        fv = npoly.polyval(out, coeffs)
-        dv = npoly.polyval(out, dcoeffs)
+        fv = npoly.polyval(out.T, coeffs.T, tensor=False).T
+        dv = npoly.polyval(out.T, dcoeffs.T, tensor=False).T
         safe = np.abs(dv) > 1e-280
         out[safe] = out[safe] - fv[safe] / dv[safe]
     return out

@@ -8,6 +8,12 @@ one with ``theta(1) = 0`` that is monotone around the circle, pulls
 back under ``B`` (multiplication of angles by ``d``), and spends
 ``nu(q)/d`` of angular mass on each support atom the first time its arc
 is crossed.  Leaf pairs with a positive gap are the lamination chords.
+
+The table is built level by level: one stacked eigenvalue solve finds
+the preimages of every point of the previous level, the candidates are
+sorted by turn and merged into the circle order, and collisions are
+tested between circular neighbours only.  Angles are held as integer
+numerators over ``d^depth`` while the table grows.
 """
 
 from __future__ import annotations
@@ -18,11 +24,9 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
-from .blaschke import BlaschkeProduct, _polish_roots
+from .blaschke import POLE_TOL, BlaschkeProduct, _polish_roots
 from .boundary import BoundaryDivisor
-from .divisor import Divisor
 from .errors import NumericalError, PreconditionError
 
 #: Two circle points closer than this cannot be ordered reliably.
@@ -36,6 +40,72 @@ __all__ = [
     "ray_pairs",
     "table_csv_rows",
 ]
+
+
+def _snap(z: np.ndarray) -> np.ndarray:
+    """``z / |z|`` divided part by part, as Python divides a complex by a
+    float, so the points equal those of the scalar formula bit for bit."""
+    r = np.hypot(z.real, z.imag)
+    out = np.empty_like(z)
+    out.real = z.real / r
+    out.imag = z.imag / r
+    return out
+
+
+def _preimages(B: BlaschkeProduct,
+                ws) -> tuple[np.ndarray, np.ndarray]:
+    """Circle solutions of ``B(z) = w`` for every target ``w`` in ``ws``.
+
+    One eigenvalue call on the stacked companion matrices of the
+    numerators ``n z^m P - w Q`` (each built as ``npoly.polycompanion``
+    builds it), then the two Newton steps of ``_polish_roots`` on every
+    row at once.
+
+    Returns
+    -------
+    points, turns : ndarray
+        Arrays of shape ``(len(ws), deg(B))``: the solutions snapped to
+        unit modulus, each row sorted by increasing turn in [0, 1), and
+        those turns.
+
+    Raises
+    ------
+    NumericalError
+        If a root lies at a pole, fails the forward check, or two roots
+        of a row collide on the circle.
+    """
+    l = B.degree
+    ws = _snap(np.asarray(ws, dtype=complex))[:, None]
+    # numerators of B(z) - w, low to high: n z^m P(z) - w Q(z)
+    num = B.normalization * np.concatenate(
+        (np.zeros(B.m, dtype=complex), B._p))
+    num = num - ws * np.concatenate(
+        (B._q, np.zeros(len(num) - len(B._q), dtype=complex)))
+    comp = np.zeros((len(ws), l, l), dtype=complex)
+    comp.reshape(len(ws), -1)[:, l::l + 1] = 1
+    comp[:, :, -1] -= num[:, :-1] / num[:, -1:]
+    # the leading coefficient (n, or n - w prod(-conj a) when m = 0) is
+    # never 0, so every row has exactly l roots
+    z = _snap(_polish_roots(num, np.linalg.eigvals(comp)))
+    value = B.normalization * z ** B.m
+    for a in B._zeros:
+        h = 1.0 - a.conjugate() * z
+        if np.any(np.abs(h) < POLE_TOL):
+            raise NumericalError(
+                f"evaluation too close to the pole 1/conj({a!r})")
+        value = value * ((z - a) / h)
+    bad = np.abs(value - ws) > 1e-9
+    if np.any(bad):
+        raise NumericalError(
+            "preimage candidate fails the forward check at "
+            f"{complex(z[bad][0])!r}")
+    turns = (np.arctan2(z.imag, z.real) / (2.0 * math.pi)) % 1.0
+    order = np.argsort(turns, axis=1, kind="stable")
+    z = np.take_along_axis(z, order, axis=1)
+    turns = np.take_along_axis(turns, order, axis=1)
+    if np.any(np.abs(z - np.roll(z, 1, axis=1)) <= COLLISION_TOL):
+        raise NumericalError("two preimages collide on the circle")
+    return z, turns
 
 
 def preimages_of(B: BlaschkeProduct, w: complex) -> list[complex]:
@@ -65,29 +135,7 @@ def preimages_of(B: BlaschkeProduct, w: complex) -> list[complex]:
     w = complex(w)
     if abs(abs(w) - 1.0) > 1e-9:
         raise PreconditionError("preimage target must be a circle point")
-    w /= abs(w)
-    # numerator of B(z) - w: n z^m P(z) - w Q(z)
-    num = B.normalization * np.concatenate(
-        (np.zeros(B.m, dtype=complex), B._p))
-    num = num - w * np.concatenate(
-        (B._q, np.zeros(len(num) - len(B._q), dtype=complex)))
-    roots = _polish_roots(num, npoly.polyroots(num))
-    if len(roots) != l:
-        raise NumericalError(
-            f"expected {l} preimages, root finder returned {len(roots)}")
-    out = []
-    for z in roots:
-        z = complex(z)
-        z /= abs(z)
-        if abs(B.eval(z) - w) > 1e-9:
-            raise NumericalError(
-                f"preimage candidate fails the forward check at {z!r}")
-        out.append(z)
-    out.sort(key=lambda z: cmath.phase(z) % (2.0 * math.pi))
-    for a, b in zip(out, out[1:]):
-        if abs(a - b) <= COLLISION_TOL:
-            raise NumericalError("two preimages collide on the circle")
-    return out
+    return _preimages(B, [w])[0][0].tolist()
 
 
 class AngleEntry:
@@ -153,24 +201,30 @@ class LaminationTable:
         return len(self.entries)
 
 
-def _support_in_arc(support: list[tuple[float, int, complex]],
-                    a: complex, b: complex) -> int:
-    """Total multiplicity of support atoms strictly inside the
-    counterclockwise open arc from ``a`` to ``b``."""
-    ta = (cmath.phase(a) / (2.0 * math.pi)) % 1.0
-    tb = (cmath.phase(b) / (2.0 * math.pi)) % 1.0
+def _arc_mass(support: list[tuple[float, int, complex]], za: np.ndarray,
+              ta: np.ndarray, zb: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Total multiplicity of support atoms strictly inside each
+    counterclockwise open arc from ``za`` (turn ``ta``) to ``zb``."""
     span = (tb - ta) % 1.0
-    total = 0
+    total = np.zeros(len(za), dtype=int)
     for tq, nu, q in support:
-        if abs(q - a) <= COLLISION_TOL or abs(q - b) <= COLLISION_TOL:
-            continue
-        if 0.0 < (tq - ta) % 1.0 < span:
-            total += nu
+        off = (tq - ta) % 1.0
+        inside = ((0.0 < off) & (off < span)
+                  & (np.abs(q - za) > COLLISION_TOL)
+                  & (np.abs(q - zb) > COLLISION_TOL))
+        total += nu * inside
     return total
 
 
 def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
     """Build the exact angle table down to the given tree depth.
+
+    Each level solves for the preimages of all its parents at once
+    (``_preimages``), sorts the candidates by turn and merges them into
+    the circle order, so collisions are tested between circular
+    neighbours only: O(N log N) per level.  Every angle is ``k/d^depth``,
+    so the walk holds the numerators ``k`` as integers and makes each
+    ``Fraction`` once, at the end.
 
     Parameters
     ----------
@@ -202,67 +256,85 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
                 "the angle recursion is undefined when 1 lies in supp(S)")
         support.append(((cmath.phase(q) / (2.0 * math.pi)) % 1.0, nu, q))
 
-    def nu_at(z: complex) -> int:
-        for _, nu, q in support:
-            if abs(q - z) <= COLLISION_TOL:
-                return nu
-        return 0
+    # tree nodes by creation index (parents before children); angles are
+    # integer numerators over ``one``
+    one = d ** depth
+    point: list[complex] = [1.0 + 0j]
+    level: list[int] = [0]
+    tm: list[int] = [0]
+    tp: list[int] = [0]
+    nus: list[int] = [0]
+    parent: list[int] = [0]
+    # circle order: node indices, their points and turns
+    order = np.zeros(1, dtype=int)
+    opts = np.ones(1, dtype=complex)
+    oturns = np.zeros(1)
+    olevels = np.zeros(1, dtype=int)
 
-    root = AngleEntry(1.0 + 0j, 0, Fraction(0), Fraction(0), 0, None)
-    ordered: list[AngleEntry] = [root]
-
-    for level in range(1, depth + 1):
-        parents = [e for e in ordered if e.level == level - 1]
-        candidates: list[tuple[complex, AngleEntry]] = []
-        for parent in parents:
-            for z in preimages_of(B, parent.point):
-                if any(abs(z - e.point) <= COLLISION_TOL for e in ordered):
-                    continue
-                candidates.append((z, parent))
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                if abs(candidates[i][0] - candidates[j][0]) <= COLLISION_TOL:
-                    raise NumericalError(
-                        "two preimages collide on the circle")
-        slotted: list[tuple[AngleEntry | None, complex, AngleEntry]] = [
-            (e, e.point, e.parent) for e in ordered]
-        for z, parent in candidates:
-            slotted.append((None, z, parent))
-        slotted.sort(key=lambda t: (cmath.phase(t[1]) / (2 * math.pi)) % 1.0)
-        # the root has turn exactly 0, so it stays first after the sort
-        new_ordered: list[AngleEntry] = []
-        prev: Optional[AngleEntry] = None
-        for entry, z, parent in slotted:
-            if entry is None:
-                img_gap = (parent.theta_minus - prev.parent.theta_plus) % 1
-                if img_gap == 0:
-                    img_gap = Fraction(1)
-                arc_nu = _support_in_arc(support, prev.point, z)
-                tminus = prev.theta_plus + Fraction(img_gap + arc_nu, d)
-                gap = Fraction(nu_at(z) + parent.gap, d)
-                entry = AngleEntry(z, level, tminus, tminus + gap,
-                                   nu_at(z), parent)
-                if not (prev.theta_plus < entry.theta_minus
-                        and entry.theta_plus < 1):
+    for lv in range(1, depth + 1):
+        last = olevels == lv - 1
+        cz, ct = _preimages(B, opts[last])
+        cpar = np.repeat(order[last], B.degree)
+        by_turn = np.argsort(ct, axis=None, kind="stable")
+        cz, ct, cpar = cz.ravel()[by_turn], ct.ravel()[by_turn], cpar[by_turn]
+        # a candidate on an existing entry is that entry; the nearest
+        # entries in turn are its circular neighbours
+        pos = np.searchsorted(oturns, ct, side="right")
+        known = ((np.abs(cz - opts[pos - 1]) <= COLLISION_TOL)
+                 | (np.abs(cz - opts[pos % len(order)]) <= COLLISION_TOL))
+        cz, ct, cpar, pos = cz[~known], ct[~known], cpar[~known], pos[~known]
+        if len(cz) > 1 and np.any(
+                np.abs(cz - np.roll(cz, 1)) <= COLLISION_TOL):
+            raise NumericalError("two preimages collide on the circle")
+        new = -1 - np.arange(len(cz))
+        order = np.insert(order, pos, new)
+        opts = np.insert(opts, pos, cz)
+        oturns = np.insert(oturns, pos, ct)
+        olevels = np.insert(olevels, pos, lv)
+        # the root has turn exactly 0, so every candidate has a predecessor
+        at = pos + np.arange(len(cz))
+        arc = _arc_mass(support, opts[at - 1], oturns[at - 1], cz, ct)
+        nu_here = np.zeros(len(cz), dtype=int)
+        for _, nu, q in reversed(support):
+            nu_here[np.abs(q - cz) <= COLLISION_TOL] = nu
+        arc, nu_here = arc.tolist(), nu_here.tolist()
+        cz, cpar = cz.tolist(), cpar.tolist()
+        prev = -1
+        for k, node in enumerate(order.tolist()):
+            if node < 0:
+                j = -1 - node
+                par = cpar[j]
+                img_gap = (tm[par] - tp[parent[prev]]) % one or one
+                lo = tp[prev] + (img_gap + arc[j] * one) // d
+                hi = lo + (nu_here[j] * one + tp[par] - tm[par]) // d
+                if not (tp[prev] < lo and hi < one):
                     raise NumericalError(
                         "angle monotonicity violated while inserting level "
-                        f"{level}")
-                dm = (entry.theta_minus * d) % 1
-                dp = (entry.theta_plus * d) % 1
-                if dm != parent.theta_minus % 1 or dp != parent.theta_plus % 1:
+                        f"{lv}")
+                if (lo * d) % one != tm[par] or (hi * d) % one != tp[par]:
                     raise NumericalError(
-                        "pullback consistency violated at level "
-                        f"{level}")
-            else:
-                if prev is not None and not (prev.theta_plus
-                                             <= entry.theta_minus):
-                    raise NumericalError(
-                        "angle monotonicity violated while re-walking level "
-                        f"{level}")
-            new_ordered.append(entry)
-            prev = entry
-        ordered = new_ordered
-    return LaminationTable(ordered, depth, D)
+                        f"pullback consistency violated at level {lv}")
+                node = len(point)
+                order[k] = node
+                point.append(cz[j])
+                level.append(lv)
+                tm.append(lo)
+                tp.append(hi)
+                nus.append(nu_here[j])
+                parent.append(par)
+            elif prev >= 0 and tp[prev] > tm[node]:
+                raise NumericalError(
+                    "angle monotonicity violated while re-walking level "
+                    f"{lv}")
+            prev = node
+
+    entries: list[AngleEntry] = []
+    for i in range(len(point)):
+        lo = Fraction(tm[i], one)
+        hi = lo if tp[i] == tm[i] else Fraction(tp[i], one)
+        entries.append(AngleEntry(point[i], level[i], lo, hi, nus[i],
+                                  entries[parent[i]] if i else None))
+    return LaminationTable([entries[i] for i in order], depth, D)
 
 
 def ray_pairs(T: LaminationTable) -> list[tuple[Fraction, Fraction]]:

@@ -14,11 +14,15 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
-from blaschkediv import (BoundaryDivisor, Divisor, PreconditionError,
-                         from_zero_divisor, lamination_table, preimages_of,
-                         ray_pairs)
+from blaschkediv import (BoundaryDivisor, Divisor, NumericalError,
+                         PreconditionError, boundary_from_json,
+                         from_zero_divisor, lamination, lamination_table,
+                         preimages_of, ray_pairs)
+from blaschkediv.blaschke import _polish_roots
 from blaschkediv.lamination import table_csv_rows
 
 
@@ -66,6 +70,24 @@ def assert_circle_monotone(table):
         assert prev.theta_plus < nxt.theta_minus
 
 
+def assert_exact_invariants(table):
+    """Entry count ``l^depth``, semiconjugacy under multiplication by
+    ``d``, strict monotonicity, total mass 1, and denominators dividing
+    ``d^level``."""
+    D = table.base
+    d = D.total_degree
+    assert len(table) == D.l ** table.depth
+    assert_circle_monotone(table)
+    assert mass_total(table) == 1
+    for e in table.entries:
+        assert (d ** e.level) % e.theta_minus.denominator == 0
+        assert (d ** e.level) % e.theta_plus.denominator == 0
+        if e.level == 0:
+            continue
+        assert (e.theta_minus * d) % 1 == e.parent.theta_minus
+        assert (e.theta_plus * d) % 1 == e.parent.theta_plus
+
+
 # ---------------------------------------------------------------------------
 # preimages
 
@@ -94,6 +116,27 @@ def test_preimages_generic_product_forward_check():
     for z in pre:
         assert abs(abs(z) - 1.0) < 1e-15
         assert abs(B.eval(z) - w) <= 1e-9
+
+
+def test_batched_preimages_equal_one_solve_per_target():
+    # reference: the scalar path, one npoly.polyroots call per target
+    # followed by the same two Newton steps, sorted by argument
+    B = from_zero_divisor(
+        Divisor([(0.4 + 0.1j, 1), (-0.3j, 1)], "interior"), 2)
+    targets = [turn(t) for t in (0.0, 0.1, 0.37, 0.5, 0.93)]
+    points, turns = lamination._preimages(B, targets)
+    for w, row, row_turns in zip(targets, points, turns):
+        num = B.normalization * np.concatenate((np.zeros(B.m), B._p))
+        num = num - w * np.concatenate((B._q, np.zeros(B.m)))
+        roots = _polish_roots(num, npoly.polyroots(num))
+        expected = sorted((complex(z) / abs(complex(z)) for z in roots),
+                          key=lambda z: cmath.phase(z) % (2.0 * math.pi))
+        # a batched eigvals call may round differently from polyroots
+        assert row.tolist() == pytest.approx(expected, abs=1e-15)
+        # numpy's arctan2 may differ from libm's atan2 in the last bits
+        assert row_turns.tolist() == pytest.approx(
+            [(cmath.phase(z) / (2.0 * math.pi)) % 1.0 for z in expected],
+            abs=1e-15)
 
 
 def test_preimages_reject_degree_one():
@@ -270,6 +313,40 @@ def test_depth_zero_is_root_only():
     table = lamination_table(reference_divisor(), 0)
     assert len(table) == 1
     assert mass_total(table) == 1
+
+
+def test_depth_eight_exact_invariants():
+    D = boundary_from_json({"m": 3, "support": ["1/3", "2/3"]})
+    table = lamination_table(D, 8)
+    assert len(table) == 6561
+    assert_exact_invariants(table)
+
+
+def test_coinciding_candidates_raise(monkeypatch):
+    solve = lamination._preimages
+
+    def colliding(B, ws):
+        # the first preimage of the last parent lands on the first
+        # preimage of the first parent
+        points, turns = solve(B, ws)
+        points[-1, 0], turns[-1, 0] = points[0, 0], turns[0, 0]
+        return points, turns
+
+    monkeypatch.setattr(lamination, "_preimages", colliding)
+    # levels 1 and 2 have a single parent, level 3 has two
+    assert len(lamination_table(reference_divisor(), 2)) == 4
+    with pytest.raises(NumericalError, match="collide"):
+        lamination_table(reference_divisor(), 3)
+
+
+def test_entry_near_finds_every_entry():
+    table = lamination_table(
+        boundary_from_json({"m": 3, "support": ["1/3", "2/3"]}), 6)
+    assert len(table) == 729
+    for e in table.entries:
+        assert table.entry_near(e.point) is e
+    assert table.entry_near(turn(0.5 / 729 ** 2)) is None
+    assert table.entry_near(0.5 + 0j) is None
 
 
 # ---------------------------------------------------------------------------
