@@ -21,7 +21,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .divisor import (CIRCLE_TOL, Divisor, REGION_INTERIOR, matching_distance)
 from .errors import ContinuationError, NumericalError, PreconditionError
-from .hypgeo import hull_contains
+from .hypgeo import _hull_contains_all
 
 #: A denominator factor smaller than this counts as pole proximity.
 POLE_TOL = 1e-14
@@ -452,4 +452,4 @@ def walsh_check(B: BlaschkeProduct, tol: float = 1e-9) -> bool:
     targets = [0j] if B.m >= 2 else []
     if B.e >= 1:
         targets.extend(critical_divisor(B).free_ram.points())
-    return all(hull_contains(generators, c, tol) for c in targets)
+    return _hull_contains_all(generators, targets, tol)

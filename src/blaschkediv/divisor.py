@@ -16,8 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import AmbiguousModulusError, PreconditionError, SchemaError
 
@@ -193,17 +191,6 @@ def add(D1: Divisor, D2: Divisor) -> Divisor:
     return Divisor(list(D1.atoms) + list(D2.atoms), region)
 
 
-def _bottleneck_feasible(dist: np.ndarray, r: float) -> bool:
-    """Perfect bipartite matching using only edges of length <= r."""
-    rows, cols = np.nonzero(dist <= r)
-    if len(rows) == 0:
-        return dist.shape[0] == 0
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)),
-                       shape=dist.shape).tocsr()
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return bool(np.all(match >= 0))
-
-
 def matching_distance(D1: Divisor, D2: Divisor) -> float:
     """Bottleneck matching distance between equal-degree divisors.
 
@@ -217,12 +204,24 @@ def matching_distance(D1: Divisor, D2: Divisor) -> float:
     float
         Minimum over bijections of the multiset expansions of the
         maximum pointwise displacement.  Zero exactly when the divisors
-        coincide as multisets.
+        coincide as multisets.  The value is an entry of the distance
+        matrix of the two expansions.
 
     Raises
     ------
     PreconditionError
         On degree mismatch.
+
+    Notes
+    -----
+    Every point must be matched, so the answer is at least the largest
+    row or column minimum of the distance matrix.  The radii at or
+    above that lower bound are bisected, the bound itself first.  A
+    radius is feasible when the edges no longer than it carry a perfect
+    matching, found by Kuhn's augmenting paths (Kuhn, Naval Res. Logist.
+    Q. 2, 1955).  Each probe gives up at the first row that cannot be
+    augmented: were there a perfect matching, its symmetric difference
+    with the current one would hold an augmenting path from that row.
     """
     if D1.degree != D2.degree:
         raise PreconditionError(
@@ -235,13 +234,34 @@ def matching_distance(D1: Divisor, D2: Divisor) -> float:
         return 0.0
     dist = np.abs(np.subtract.outer(np.asarray(a, dtype=complex),
                                     np.asarray(b, dtype=complex)))
-    radii = np.unique(dist)
+    lb = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    # Written as "not below" so that NaN distances stay in, as they would
+    # in a bisection over every radius.
+    radii = np.unique(dist[~(dist < lb)])
+    order = np.argsort(dist, axis=1, kind="stable").tolist()
+
+    def feasible(r: float) -> bool:
+        counts = np.count_nonzero(dist <= r, axis=1).tolist()
+        adj = [order[i][:counts[i]] for i in range(n)]
+        row_of = [-1] * n
+
+        def augment(i: int, seen: list[bool]) -> bool:
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    if row_of[j] < 0 or augment(row_of[j], seen):
+                        row_of[j] = i
+                        return True
+            return False
+
+        return all(augment(i, [False] * n) for i in range(n))
+
     lo, hi = 0, len(radii) - 1
-    if _bottleneck_feasible(dist, radii[0]):
+    if feasible(radii[0]):
         return float(radii[0])
     while lo < hi - 1:
         mid = (lo + hi) // 2
-        if _bottleneck_feasible(dist, radii[mid]):
+        if feasible(radii[mid]):
             hi = mid
         else:
             lo = mid

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Iterable
 
 from .errors import PreconditionError
 
@@ -174,6 +175,26 @@ def _hull_distance(p: tuple[float, float],
                for i in range(len(hull)))
 
 
+def _hull_contains_all(generators: list[complex], targets: Iterable[complex],
+                       tol: float) -> bool:
+    """True when every target passes the :func:`hull_contains` test.
+
+    The generators are embedded and their hull is built once for all
+    targets.  Targets are embedded one at a time and the test stops at
+    the first one outside, as a chain of :func:`hull_contains` calls
+    would.
+    """
+    if not generators:
+        raise PreconditionError("hull_contains needs at least one generator")
+    hull = _convex_hull([(k.real, k.imag)
+                         for k in map(klein_embed, generators)])
+    for p in targets:
+        kp = klein_embed(p)
+        if not _hull_distance((kp.real, kp.imag), hull) <= tol:
+            return False
+    return True
+
+
 def hull_contains(generators: list[complex], p: complex,
                   tol: float = 1e-9) -> bool:
     """Test membership of ``p`` in the hyperbolic convex hull of the
@@ -196,12 +217,7 @@ def hull_contains(generators: list[complex], p: complex,
         True when the Klein image of ``p`` is within ``tol`` of the
         Euclidean convex hull of the Klein images of the generators.
     """
-    if not generators:
-        raise PreconditionError("hull_contains needs at least one generator")
-    kp = klein_embed(p)
-    hull = _convex_hull([(klein_embed(g).real, klein_embed(g).imag)
-                         for g in generators])
-    return _hull_distance((kp.real, kp.imag), hull) <= tol
+    return _hull_contains_all(generators, (p,), tol)
 
 
 def hyp_circle(center: complex, L: float) -> HypDisk:

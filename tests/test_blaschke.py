@@ -6,6 +6,7 @@ boundary orbits, and the hull certificate."""
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 from blaschkediv import (BlaschkeProduct, Divisor, NumericalError,
                          PreconditionError, boundary_orbit, critical_divisor,
-                         from_zero_divisor, matching_distance,
+                         from_zero_divisor, hull_contains, matching_distance,
                          multiplier_at_zero, phi_1m_closed_form, walsh_check,
                          zeros_from_critical)
 from blaschkediv.blaschke import _critical_numerator, _numerator_partials
@@ -281,16 +282,28 @@ def test_critical_divisor_returns_only_critical_points():
     assert walsh_check(B)
 
 
-def test_package_import_leaves_mpmath_unloaded():
+def _loaded_after_import(statement: str, modules: list[str]) -> list[bool]:
+    """Run ``statement`` in a fresh interpreter and report which of
+    ``modules`` it left in ``sys.modules``."""
     import blaschkediv
     src = os.path.dirname(os.path.dirname(blaschkediv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, blaschkediv; print('mpmath' in sys.modules)"],
+         f"import json, sys; {statement}; "
+         f"print(json.dumps([m in sys.modules for m in {modules!r}]))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout)
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    assert _loaded_after_import("import blaschkediv", ["mpmath"]) == [False]
+
+
+def test_package_and_cli_import_leave_scipy_unloaded():
+    assert _loaded_after_import("import blaschkediv, blaschkediv.cli",
+                                ["scipy", "mpmath"]) == [False, False]
 
 
 def test_multiplier_examples():
@@ -351,6 +364,19 @@ def test_walsh_spot_and_power_cases():
     assert walsh_check(from_zero_divisor(Divisor([], "interior"), 4))
     with pytest.raises(PreconditionError):
         walsh_check(from_zero_divisor(Divisor([], "interior"), 1))
+
+
+def test_walsh_check_equals_per_point_hull_tests():
+    rng = np.random.default_rng(309)
+    for e in range(1, 25):
+        m = int(rng.integers(1, 4))
+        B = from_zero_divisor(random_zeros(rng, e, 0.9), m)
+        gens = [0j] + B.free_zeros.points()
+        targets = ([0j] if m >= 2 else []) + \
+            critical_divisor(B).free_ram.points()
+        for tol in (1e-9, 0.0, -1e-3):
+            assert walsh_check(B, tol) == all(
+                hull_contains(gens, c, tol) for c in targets)
 
 
 def test_walsh_randomized_property():

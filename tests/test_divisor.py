@@ -1,6 +1,6 @@
 """Tests for divisors: degree/simplicity, merging, the bottleneck
-matching metric against a brute-force oracle, boundary splitting, limits
-of sequences, and the JSON schema."""
+matching metric against brute-force, plain-Kuhn and scipy oracles,
+boundary splitting, limits of sequences, and the JSON schema."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from blaschkediv import (AmbiguousModulusError, Divisor, PreconditionError,
                          SchemaError, add, degree, divisor_from_json,
                          divisor_to_json, is_simple, matching_distance,
                          sequence_limit, split_boundary)
+from blaschkediv.divisor import MERGE_TOL
 
 
 def brute_force_bottleneck(D1: Divisor, D2: Divisor) -> float:
@@ -135,6 +136,159 @@ def test_matching_distance_degree_mismatch():
     d2 = Divisor([(0.1 + 0j, 2)], "interior")
     with pytest.raises(PreconditionError):
         matching_distance(d1, d2)
+
+
+def distance_matrix(D1: Divisor, D2: Divisor) -> np.ndarray:
+    return np.abs(np.subtract.outer(np.asarray(D1.points(), dtype=complex),
+                                    np.asarray(D2.points(), dtype=complex)))
+
+
+def brute_force_on_matrix(D1: Divisor, D2: Divisor) -> float:
+    """Oracle on the distances ``matching_distance`` compares: numpy's
+    complex modulus, which can differ from Python's ``abs`` in the last
+    bit, so an exact comparison needs the same matrix."""
+    rows = distance_matrix(D1, D2).tolist()
+    n = len(rows)
+    return min(max(rows[k][perm[k]] for k in range(n))
+               for perm in itertools.permutations(range(n)))
+
+
+def random_multiset_divisor(rng: np.random.Generator, degree: int,
+                            rmax: float = 0.95) -> Divisor:
+    """Interior divisor of the given degree with multiplicities 1..3."""
+    atoms = []
+    left = degree
+    while left:
+        m = int(rng.integers(1, min(3, left) + 1))
+        r = rmax * math.sqrt(rng.random())
+        atoms.append((r * cmath.exp(2j * math.pi * rng.random()), m))
+        left -= m
+    return Divisor(atoms, "interior")
+
+
+def grid_divisor(rng: np.random.Generator, degree: int) -> Divisor:
+    """Points on a quarter grid: many tied distances, repeated points
+    merging into multiplicity atoms."""
+    steps = rng.integers(-2, 3, size=(degree, 2)) / 4.0
+    return Divisor([(complex(x, y), 1) for x, y in steps], "interior")
+
+
+def test_matching_distance_equals_brute_force_exactly():
+    rng = np.random.default_rng(204)
+    for n in range(1, 8):
+        for _ in range(6):
+            pairs = [
+                (random_multiset_divisor(rng, n),
+                 random_multiset_divisor(rng, n)),
+                (grid_divisor(rng, n), grid_divisor(rng, n)),
+                (random_divisor(rng, n), random_multiset_divisor(rng, n)),
+            ]
+            for d1, d2 in pairs:
+                assert matching_distance(d1, d2) == \
+                    brute_force_on_matrix(d1, d2)
+
+
+def test_matching_distance_with_ties_and_multiplicities():
+    d1 = Divisor([(0j, 2), (0.5 + 0j, 1)], "interior")
+    d2 = Divisor([(0.25 + 0j, 2), (-0.25 + 0j, 1)], "interior")
+    assert matching_distance(d1, d2) == 0.25
+    assert brute_force_on_matrix(d1, d2) == 0.25
+
+
+def near_and_far_pairs(n: int):
+    """Seeded pairs of degree n: each point moved by 1e-3, and an
+    independent divisor."""
+    rng = np.random.default_rng(205 + n)
+    for _ in range(8):
+        d1 = random_multiset_divisor(rng, n, 0.9)
+        near = [(z + 1e-3 * cmath.exp(2j * math.pi * rng.random()), m)
+                for z, m in d1.atoms]
+        yield d1, Divisor(near, "interior")
+        yield d1, random_multiset_divisor(rng, n, 0.9)
+
+
+def kuhn_matching_distance(D1: Divisor, D2: Divisor) -> float:
+    """The bisection over all distinct distances; each radius is decided
+    by a maximum matching built from scratch with Kuhn's augmenting
+    paths, with no lower bound or early exit."""
+    rows = distance_matrix(D1, D2).tolist()
+    n = len(rows)
+
+    def perfect(r: float) -> bool:
+        row_of = [-1] * n
+
+        def augment(i: int, seen: set) -> bool:
+            for j in range(n):
+                if rows[i][j] <= r and j not in seen:
+                    seen.add(j)
+                    if row_of[j] < 0 or augment(row_of[j], seen):
+                        row_of[j] = i
+                        return True
+            return False
+
+        return sum(augment(i, set()) for i in range(n)) == n
+
+    radii = np.unique(rows)
+    lo, hi = -1, len(radii) - 1
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if perfect(radii[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return float(radii[hi])
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_matching_distance_equals_plain_kuhn_bisection(n):
+    for d1, d2 in near_and_far_pairs(n):
+        assert matching_distance(d1, d2) == kuhn_matching_distance(d1, d2)
+
+
+def scipy_matching_distance(D1: Divisor, D2: Divisor) -> float:
+    """The bisection over all distinct distances with scipy's maximum
+    bipartite matching as the feasibility test."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    dist = distance_matrix(D1, D2)
+
+    def feasible(r: float) -> bool:
+        rows, cols = np.nonzero(dist <= r)
+        graph = coo_matrix((np.ones(len(rows)), (rows, cols)),
+                           shape=dist.shape).tocsr()
+        match = maximum_bipartite_matching(graph, perm_type="column")
+        return bool(np.all(match >= 0))
+
+    radii = np.unique(dist)
+    if feasible(radii[0]):
+        return float(radii[0])
+    lo, hi = 0, len(radii) - 1
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if feasible(radii[mid]):
+            hi = mid
+        else:
+            lo = mid
+    return float(radii[hi])
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_matching_distance_equals_scipy_bisection(n):
+    pytest.importorskip("scipy")
+    for d1, d2 in near_and_far_pairs(n):
+        assert matching_distance(d1, d2) == scipy_matching_distance(d1, d2)
+
+
+def test_merge_chain_is_transitive():
+    step = 0.8 * MERGE_TOL
+    ends = [(0.5 + 0j, 1), (0.5 + 2 * step + 0j, 1)]
+    assert len(Divisor(ends, "interior").atoms) == 2
+    D = Divisor([ends[0], (0.5 + step + 0j, 1), ends[1]], "interior")
+    assert D.degree == 3
+    assert len(D.atoms) == 1
+    assert D.atoms[0][1] == 3
+    assert D.atoms[0][0] == pytest.approx(0.5 + step, abs=1e-15)
 
 
 def test_split_boundary_reference():

@@ -11,6 +11,7 @@ import pytest
 
 from blaschkediv import (HypDisk, PreconditionError, hull_contains,
                          hyp_circle, hyp_dist, klein_embed)
+from blaschkediv.hypgeo import _hull_contains_all
 
 
 def mobius(c: complex, theta: float):
@@ -118,6 +119,30 @@ def test_klein_inverse_round_trip():
         z = random_interior(rng)
         assert abs(klein_embed(klein_inverse(klein_embed(z))) -
                    klein_embed(z)) <= 1e-14
+
+
+def test_one_hull_for_many_targets_matches_per_target_calls():
+    rng = np.random.default_rng(124)
+    answers = set()
+    for _ in range(300):
+        gens = [0.95 * math.sqrt(rng.random())
+                * cmath.exp(2j * math.pi * rng.random())
+                for _ in range(int(rng.integers(1, 9)))]
+        targets = [0.95 * math.sqrt(rng.random())
+                   * cmath.exp(2j * math.pi * rng.random())
+                   for _ in range(int(rng.integers(0, 5)))]
+        want = all(hull_contains(gens, p) for p in targets)
+        assert _hull_contains_all(gens, targets, 1e-9) == want
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def test_one_hull_stops_at_the_first_target_outside():
+    # The third target is not an interior point, but the second already
+    # lies outside, so it is never embedded.
+    assert not _hull_contains_all([0j, 0.5 + 0j], [0.25 + 0j, 0.5j, 2.0], 1e-9)
+    with pytest.raises(PreconditionError):
+        _hull_contains_all([0j, 0.5 + 0j], [0.25 + 0j, 2.0], 1e-9)
 
 
 def test_hull_contains_mobius_invariance_on_geodesic_midpoints():
