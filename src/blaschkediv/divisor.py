@@ -111,13 +111,15 @@ class Divisor:
         merged = _merge_atoms(atoms)
         for z, _ in merged:
             r = abs(z)
-            if region == REGION_INTERIOR and r >= 1.0:
+            # negated tests, so that a NaN modulus (from a NaN atom, or
+            # an infinite one turned NaN by the merge centroid) fails them
+            if region == REGION_INTERIOR and not r < 1.0:
                 raise PreconditionError(
                     f"interior divisor atom with |z| = {r:.17g} >= 1")
-            if region == REGION_CIRCLE and abs(r - 1.0) > CIRCLE_TOL:
+            if region == REGION_CIRCLE and not abs(r - 1.0) <= CIRCLE_TOL:
                 raise PreconditionError(
                     f"circle divisor atom with |z| = {r:.17g} off the circle")
-            if region == REGION_CLOSED and r > 1.0 + CIRCLE_TOL:
+            if region == REGION_CLOSED and not r <= 1.0 + CIRCLE_TOL:
                 raise PreconditionError(
                     f"closed-disk divisor atom with |z| = {r:.17g} > 1")
         self._atoms: tuple[tuple[complex, int], ...] = tuple(merged)
@@ -235,9 +237,7 @@ def matching_distance(D1: Divisor, D2: Divisor) -> float:
     dist = np.abs(np.subtract.outer(np.asarray(a, dtype=complex),
                                     np.asarray(b, dtype=complex)))
     lb = max(dist.min(axis=1).max(), dist.min(axis=0).max())
-    # Written as "not below" so that NaN distances stay in, as they would
-    # in a bisection over every radius.
-    radii = np.unique(dist[~(dist < lb)])
+    radii = np.unique(dist[dist >= lb])
     order = np.argsort(dist, axis=1, kind="stable").tolist()
 
     def feasible(r: float) -> bool:

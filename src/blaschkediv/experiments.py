@@ -10,6 +10,7 @@ JSON-ready report dicts; thresholds live in the test suite, not here.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Optional, Sequence
 
@@ -84,7 +85,9 @@ class SolveCertificate:
         The free zero divisor of the solved product (rebuild it with the
         certificate's ``m`` to re-verify).
     iterations : int
-        Function evaluations spent by the solver.
+        Evaluations of ``h`` spent by the solver: guarded full ones
+        (product rebuilt, all critical points found) plus tracked ones
+        (one critical point refined by Newton).
     """
 
     def __init__(self, target_L: float, achieved: float,
@@ -322,6 +325,76 @@ def _winding_number(f, corners: list[complex],
     return total / (2.0 * math.pi)
 
 
+#: Newton steps allowed to ``_tracked_orbit`` and the step size that
+#: ends them.
+_TRACK_STEPS = 40
+_TRACK_TOL = 1e-13
+
+
+def _tracked_orbit(zeros: Sequence[complex], m: int, l: int, zeta: complex,
+                   c0: complex) -> Optional[tuple[complex, ...]]:
+    """Track one critical point of the product with free zeros ``zeros``
+    plus ``zeta`` and run its orbit, with Wirtinger derivatives in ``zeta``.
+
+    Newton from ``c0`` on the factored numerator
+    ``f(z) = m + z sum_k w_k/g_k`` (``g_k = (z-a_k)(1-conj(a_k)z)``,
+    ``w_k = 1-|a_k|^2``, ``f' = sum_k w_k(conj(a_k)z^2-a_k)/g_k^2``, the
+    formulas of ``_refine_critical``) stops on the step size.  The
+    implicit function theorem gives ``dc/dzeta = -F_zeta/f'(c)`` and
+    ``dc/dconj(zeta) = -F_conj(zeta)/f'(c)`` from the zeta term
+    ``z(1-|zeta|^2)/((z-zeta)(1-conj(zeta)z))`` of ``f``, whose
+    derivatives are ``z/(z-zeta)^2`` and ``z/(1-conj(zeta)z)^2``.  Along
+    the orbit ``B' = B f/z``, ``dB/dzeta = B(1/(1-zeta) - 1/(z-zeta))``
+    and ``dB/dconj(zeta) = B(z/(1-conj(zeta)z) - 1/(1-conj(zeta)))``.
+
+    Returns ``(c, h, dh/dzeta, dh/dconj(zeta), dc/dzeta, dc/dconj(zeta))``
+    with ``h = B^l(c)``, or None on a non-finite step, a step longer
+    than 1, no convergence, or ``c`` outside the disk.
+    """
+    zb = zeta.conjugate()
+    terms = [(a, a.conjugate(), 1.0 - abs(a) ** 2)
+             for a in (*zeros, zeta)]
+    try:
+        c = c0
+        for _ in range(_TRACK_STEPS):
+            s = df = 0j
+            for a, ab, wk in terms:
+                g = (c - a) * (1.0 - ab * c)
+                s += wk / g
+                df += wk * (ab * c * c - a) / (g * g)
+            step = (m + c * s) / df
+            if not (cmath.isfinite(step) and abs(step) <= 1.0):
+                return None
+            c -= step
+            if not abs(c) < 1.0:
+                return None
+            if abs(step) <= _TRACK_TOL:
+                break
+        else:
+            return None
+        norm = 1.0 + 0j
+        for a, ab, _ in terms:
+            norm *= (1.0 - ab) / (1.0 - a)
+        c_z = -c / ((c - zeta) ** 2 * df)
+        c_zb = -c / ((1.0 - zb * c) ** 2 * df)
+        w, h_z, h_zb = c, c_z, c_zb
+        for _ in range(l):
+            s = 0j
+            bw = norm * w ** m
+            for a, ab, wk in terms:
+                bw *= (w - a) / (1.0 - ab * w)
+                s += wk / ((w - a) * (1.0 - ab * w))
+            dbw = bw * (m / w + s)
+            h_z = dbw * h_z + bw * (1.0 / (1.0 - zeta) - 1.0 / (w - zeta))
+            h_zb = dbw * h_zb + bw * (w / (1.0 - zb * w) - 1.0 / (1.0 - zb))
+            w = bw
+    except ZeroDivisionError:
+        return None
+    if not all(map(cmath.isfinite, (w, h_z, h_zb, c_z, c_zb))):
+        return None
+    return c, w, h_z, h_zb, c_z, c_zb
+
+
 def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
                        eps: float, tau: float = 1e-3,
                        max_attempts: int = 8) -> SolveCertificate:
@@ -330,11 +403,22 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     near ``q' = B^l(q)``.
 
     A free zero ``zeta`` roams a disk around ``q`` while the other
-    support points get fixed placements ``(1 - tau) p``; damped 2-D
-    Newton drives ``h(zeta) = B^l(c_q)`` to the inward point of the
-    target hyperbolic circle, with a winding-number quadtree bisection
-    as the fallback (the solution exists precisely because that winding
-    is 1).  The certificate's residual is ``|achieved - L|``.
+    support points get fixed placements ``(1 - tau) p``; 2-D Newton
+    drives ``h(zeta) = B^l(c_q)`` to the inward point of the target
+    hyperbolic circle.  Five starts on the radius toward ``q`` are
+    ranked by the guarded full evaluation of ``h``, which rebuilds the
+    product and picks ``c_q`` among all its critical points, refusing an
+    ambiguous choice.  Newton then tracks that one critical point
+    (``_tracked_orbit``): each trial predicts it to first order from the
+    last one and refines it on the factored numerator, and the Jacobian
+    comes from the closed-form Wirtinger derivatives of ``h``, under a
+    monotone backtracking line search.  At convergence one guarded full
+    evaluation checks the basin: the root counts only if the critical
+    point it picks is the tracked one within 1e-9, and its orbit value
+    goes into the certificate.  When every start fails, a winding-number
+    quadtree bisection on the full ``h`` is the fallback (the solution
+    exists precisely because that winding is 1).  The certificate's
+    residual is ``|achieved - L|``.
     """
     q = complex(q)
     l = int(l)
@@ -370,85 +454,101 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     xi = circle.euclid_center - circle.euclid_radius * u
     m = B.m
     base_atoms = list(B.free_zeros.atoms) + [(x, 1) for x in placements]
+    others = [z for z, mult in base_atoms for _ in range(mult)]
     evals = 0
 
-    def h(zeta: complex) -> Optional[complex]:
+    def inside(zeta: complex) -> bool:
+        return abs(zeta) < 1.0 - 1e-9 and abs(zeta - q) <= eps
+
+    def full(zeta: complex) -> Optional[tuple[complex, complex]]:
+        """Guarded full evaluation: the critical point near ``q`` of the
+        rebuilt product and ``h(zeta)``."""
         nonlocal evals
         evals += 1
-        if abs(zeta) >= 1.0 - 1e-9 or abs(zeta - q) > eps:
+        if not inside(zeta):
             return None
         try:
             Bh = from_zero_divisor(
                 Divisor(base_atoms + [(zeta, 1)], REGION_INTERIOR), m)
-            w = _critical_point_near(Bh, q)
+            c = _critical_point_near(Bh, q)
+            w = c
             for _ in range(l):
                 w = Bh.eval(w)
-            return w
+            return c, w
         except (PreconditionError, NumericalError):
             return None
 
-    def newton(z0: complex) -> Optional[complex]:
-        z = z0
-        f = h(z)
-        if f is None:
+    def h(zeta: complex) -> Optional[complex]:
+        val = full(zeta)
+        return None if val is None else val[1]
+
+    def tracked(zeta: complex, c0: complex) -> Optional[tuple[complex, ...]]:
+        nonlocal evals
+        evals += 1
+        if not inside(zeta):
             return None
-        f -= xi
+        return _tracked_orbit(others, m, l, zeta, c0)
+
+    def newton(z: complex, c: complex) -> Optional[tuple[complex, complex]]:
+        """Root and its full ``h`` from the start ``z``, whose full
+        evaluation picked the critical point ``c``; None on failure."""
+        t = tracked(z, c)
+        if t is None:
+            return None
         for _ in range(80):
+            c, f, h_z, h_zb, c_z, c_zb = t
+            f -= xi
             err = abs(f)
             if err < 1e-11:
-                return z
-            step_h = 1e-8 * max(1e-3, abs(z - q))
-            fx = h(z + step_h)
-            fy = h(z + 1j * step_h)
-            if fx is None or fy is None:
+                val = full(z)
+                if val is None or not abs(val[0] - c) <= 1e-9:
+                    return None
+                return z, val[1]
+            # The real Jacobian has columns dh/dx = h_z + h_zb and
+            # dh/dy = i(h_z - h_zb), so its determinant is
+            # |h_z|^2 - |h_zb|^2 and its inverse applied to -f is:
+            det = abs(h_z) ** 2 - abs(h_zb) ** 2
+            if det == 0.0:
                 return None
-            jac = np.array(
-                [[((fx - xi) - f).real, ((fy - xi) - f).real],
-                 [((fx - xi) - f).imag, ((fy - xi) - f).imag]]) / step_h
-            try:
-                delta = np.linalg.solve(jac, [-f.real, -f.imag])
-            except np.linalg.LinAlgError:
-                return None
-            step = complex(delta[0], delta[1])
+            step = (h_zb * f.conjugate() - h_z.conjugate() * f) / det
             lam = 1.0
-            improved = None
             for _ in range(12):
-                cand = z + lam * step
-                fc = h(cand)
-                if fc is not None and abs(fc - xi) < err:
-                    improved = (cand, fc - xi)
+                dz = lam * step
+                t = tracked(z + dz, c + c_z * dz + c_zb * dz.conjugate())
+                if t is not None and abs(t[1] - xi) < err:
                     break
                 lam *= 0.5
-            if improved is None:
+            else:
                 return None
-            z, f = improved
+            z += dz
         return None
 
     delta = min(eps, 0.05)
-    best: Optional[complex] = None
+    found: Optional[tuple[complex, complex]] = None
     for _ in range(max_attempts):
         starts = [(1.0 - s * delta) * q
                   for s in (0.3, 0.1, 0.03, 0.01, 0.003)]
         ranked = []
         for z0 in starts:
-            val = h(z0)
+            val = full(z0)
             if val is not None:
-                ranked.append((abs(val - xi), z0))
-        for _, z0 in sorted(ranked, key=lambda t: t[0]):
-            best = newton(z0)
-            if best is not None:
+                ranked.append((abs(val[1] - xi), z0, val[0]))
+        for _, z0, c0 in sorted(ranked, key=lambda t: t[0]):
+            found = newton(z0, c0)
+            if found is not None:
                 break
-        if best is not None:
+        if found is not None:
             break
         best = _winding_search(h, xi, q, delta)
         if best is not None:
+            found = best, h(best)
             break
         delta *= 0.5
-    if best is None:
+    if found is None:
         raise NumericalError(
             f"prescribed-distance solve failed for L={L} after {evals} "
             f"evaluations (Newton and winding search both exhausted)")
-    w = h(best)
+    best, w = found
     achieved = hyp_dist(x_target, w)
     result = Divisor(base_atoms + [(best, 1)], REGION_INTERIOR)
     return SolveCertificate(L, achieved, result, evals, m, x_target, w)
@@ -457,12 +557,20 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
 def _winding_search(h, xi: complex, q: complex,
                     delta: float) -> Optional[complex]:
     """Quadtree bisection of the search square guided by the winding
-    number of ``h - xi`` on cell boundaries."""
+    number of ``h - xi`` on cell boundaries, down to cells 1e-12 wide.
+
+    The square is centered at ``q`` on the circle, so samples outside
+    the guard radius ``1 - 1e-9`` of ``h`` move radially to
+    ``1 - 2e-9``, where ``h`` accepts them.  The root lies within about
+    1e-7 of the circle, where the achieved distance is steep: on the
+    divisor of m = 2 with support {1/3, 2/3} at L = 1, cells 1e-10 wide
+    left a residual of 2.6e-5, cells 1e-12 wide one of 6.8e-8.
+    """
 
     def f(zeta: complex) -> Optional[complex]:
         r = abs(zeta)
         if r >= 1.0 - 1e-9:
-            zeta = zeta * (1.0 - 1e-9) / r
+            zeta = zeta * (1.0 - 2e-9) / r
         val = h(zeta)
         if val is None:
             return None
@@ -472,7 +580,7 @@ def _winding_search(h, xi: complex, q: complex,
     cell = (q.real - half, q.real + half, q.imag - half, q.imag + half)
     for _ in range(60):
         x0, x1, y0, y1 = cell
-        if max(x1 - x0, y1 - y0) < 1e-10:
+        if max(x1 - x0, y1 - y0) < 1e-12:
             return complex((x0 + x1) / 2, (y0 + y1) / 2)
         xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
         subcells = [(x0, xm, y0, ym), (xm, x1, y0, ym),

@@ -404,6 +404,13 @@ def test_exit_schema_invalid_json(capsys):
     assert code == 4
 
 
+def test_exit_schema_nan_zero(capsys):
+    code, out, err = run_cli(
+        capsys, ["critpts", "--zeros", "[[NaN,0],[0.1,0]]", "--m", "1"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
 def test_exit_schema_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["critpts", "--zeros", str(tmp_path / "absent.json"),

@@ -369,6 +369,35 @@ def test_region_invariants_enforced():
         Divisor([(1.5 + 0j, 1)], "closed")
 
 
+NON_FINITE = [complex(math.nan, 0.0), complex(0.0, math.nan),
+              complex(math.inf, 0.0), complex(0.0, -math.inf),
+              complex(math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("region, good", [("interior", 0.1 + 0j),
+                                          ("circle", 1j),
+                                          ("closed", 0.1 + 0j)])
+def test_region_invariants_reject_nan_and_inf(region, good, bad):
+    # NaN fails every modulus comparison, and the merge centroid turns an
+    # infinite atom into NaN, so each region test must reject NaN itself
+    with pytest.raises(PreconditionError):
+        Divisor([(bad, 1)], region)
+    with pytest.raises(PreconditionError):
+        Divisor([(bad, 1), (good, 1)], region)
+    assert Divisor([(good, 1)], region).degree == 1
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_json_non_finite_atoms_are_schema_errors(literal):
+    # json accepts these literals, so they must fail at the region check
+    with pytest.raises(SchemaError):
+        divisor_from_json(
+            f'{{"region": "interior", "atoms": [[{literal}, 0], [0.1, 0]]}}')
+    with pytest.raises(SchemaError):
+        divisor_from_json(f"[[0.1, {literal}]]")
+
+
 def test_json_round_trip():
     D = Divisor([(0.5 + 0j, 1), (1j, 2)], "closed")
     round_tripped = divisor_from_json(divisor_to_json(D))

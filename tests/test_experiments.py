@@ -17,6 +17,7 @@ from blaschkediv import (BoundaryDivisor, Divisor, NumericalError,
                          hyp_dist, multiplier_limit_check, prescribe_distance,
                          sample_neighborhood, verify_cont_orbit,
                          verify_extension_convergence)
+from blaschkediv import experiments
 
 
 def turn(t: float) -> complex:
@@ -241,6 +242,105 @@ def test_prescribe_reference_and_reverify(L):
     assert payload["target_L"] == L
     assert payload["m"] == 2
     assert payload["result_divisor"] == divisor_to_json(cert.result_divisor)
+
+
+def assert_remeasured(cert, q: complex, l: int) -> None:
+    """Residual within 1e-6 and an independent re-measurement of the
+    orbit value and the achieved distance within 1e-12."""
+    assert cert.residual <= 1e-6
+    rebuilt = from_zero_divisor(cert.result_divisor, cert.m)
+    w = nearest_critical_point(rebuilt, q)
+    for _ in range(l):
+        w = rebuilt.eval(w)
+    assert abs(w - cert.orbit_value) <= 1e-12
+    assert hyp_dist(cert.zero_near_target, w) == pytest.approx(
+        cert.achieved, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [0.5, 1.5])
+def test_prescribe_cubic_two_step_orbit_reverifies(L):
+    # z^3 sends 1/10 to 3/10 to 9/10 turns: m = 3, l = 2, and the
+    # intermediate iterate stays off the support
+    D = make_boundary([], 3, [(0.1, 1), (0.9, 1)])
+    q = turn(0.1)
+    cert = prescribe_distance(D, q, 2, L, eps=0.2)
+    assert cert.m == 3
+    assert cert.target_L == L
+    assert_remeasured(cert, q, 2)
+
+
+def test_prescribe_winding_fallback_alone_certifies(monkeypatch):
+    # with every tracked evaluation failing, Newton never starts and the
+    # winding-number quadtree on the full h must find the root by itself
+    monkeypatch.setattr(experiments, "_tracked_orbit", lambda *args: None)
+    calls = []
+    search = experiments._winding_search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(experiments, "_winding_search", counted)
+    q = turn(1.0 / 3.0)
+    cert = prescribe_distance(orbit_reference(), q, 1, 1.0, eps=0.2)
+    assert len(calls) == 1
+    assert_remeasured(cert, q, 1)
+
+
+def tracked_cases(count: int, seed: int):
+    """Seeded products (m = 1..3, l = 1..2, 1..3 other zeros) with the
+    free critical point nearest the roaming zero, where it is
+    unambiguous."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        m, l = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        n = int(rng.integers(1, 4)) + 1
+        zeros = [complex(z) for z in 0.7 * np.sqrt(rng.random(n))
+                 * np.exp(2j * np.pi * rng.random(n))]
+        others, zeta = zeros[:-1], zeros[-1]
+        B = from_zero_divisor(
+            Divisor([(z, 1) for z in zeros], "interior"), m)
+        try:
+            c = experiments._critical_point_near(B, zeta)
+        except NumericalError:
+            continue
+        cases.append((others, m, l, zeta, c, B))
+    return cases
+
+
+def test_tracked_orbit_derivatives_match_central_differences():
+    t = 1e-6
+    for others, m, l, zeta, c, _ in tracked_cases(60, 20261018):
+        _, _, h_z, h_zb, c_z, c_zb = experiments._tracked_orbit(
+            others, m, l, zeta, c)
+        for d in (1.0, 1j):
+            plus = experiments._tracked_orbit(others, m, l, zeta + t * d, c)
+            minus = experiments._tracked_orbit(others, m, l, zeta - t * d, c)
+            # d(zeta) = d and d(conj zeta) = conj(d) along the direction d
+            for k, (dz, dzb) in ((1, (h_z, h_zb)), (0, (c_z, c_zb))):
+                exact = dz * d + dzb * d.conjugate()
+                approx = (plus[k] - minus[k]) / (2.0 * t)
+                scale = abs(dz) + abs(dzb)
+                assert abs(approx - exact) <= 1e-8 * scale
+
+
+def test_tracked_orbit_matches_full_evaluation():
+    rng = np.random.default_rng(7)
+    for others, m, l, zeta, c_ref, B in tracked_cases(60, 4242):
+        start = c_ref + 1e-3 * complex(*rng.normal(size=2))
+        c, w, *_ = experiments._tracked_orbit(others, m, l, zeta, start)
+        assert abs(c - c_ref) <= 1e-9
+        ref = c_ref
+        for _ in range(l):
+            ref = B.eval(ref)
+        assert abs(w - ref) <= 1e-9
+
+
+def test_tracked_orbit_gives_up_at_a_pole():
+    # a start on a zero puts a pole into the factored numerator
+    assert experiments._tracked_orbit([0.3 + 0j], 2, 1, -0.4j, 0.3 + 0j) \
+        is None
 
 
 def test_prescribe_rejects_fixed_point_target():
