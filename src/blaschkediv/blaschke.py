@@ -25,12 +25,17 @@ from .hypgeo import _hull_contains_all
 
 #: A denominator factor smaller than this counts as pole proximity.
 POLE_TOL = 1e-14
-#: Largest ``|B'|`` accepted at a computed free critical point.  Roots
-#: of the expanded numerator above it are refined against the factored
-#: form.  In 30 000 seeded draws of e = 23 zeros inside radius 0.9, 267
-#: had such a root, 21 of them above 1e-3 and 1e-2 or more from every
-#: true critical point; after refinement all read below 1e-15.
+#: Largest ``|B'|`` accepted at a computed free critical point, checked
+#: apart from the kernel that found it (a double critical point splits
+#: by about sqrt(eps) and never converges in step size, yet passes).
 CRIT_TOL = 1e-6
+#: Most distinct nonzero free zeros whose critical points are seeded
+#: from eigenvalues; the zero seeds are faster from 7 on (measured).
+_EIGEN_MAX = 6
+#: Aberth iterations allowed from the zero seeds (5-6 typical, 13 seen
+#: up to e = 24) and the relative step that counts as converged.
+_ABERTH_STEPS = 30
+_ABERTH_TOL = 1e-15
 
 __all__ = [
     "BlaschkeProduct",
@@ -134,8 +139,9 @@ class RamificationResult:
         Interior divisor of the critical points other than the forced
         ``(m-1)``-fold one at the origin; degree exactly ``e``.
     residual_count : int
-        Number of critical-numerator roots found outside the closed
-        disk (they mirror the interior ones and are discarded).
+        Number of critical-numerator roots outside the closed disk (the
+        mirrors of the interior ones): ``e`` less the multiplicity of a
+        free zero at 0.  Counted; the mirrored roots are not computed.
     """
 
     def __init__(self, free_ram: Divisor, residual_count: int):
@@ -180,15 +186,6 @@ def from_zero_divisor(Z: Divisor, m: int) -> BlaschkeProduct:
     return BlaschkeProduct(Z, m)
 
 
-def _trimmed(coeffs: np.ndarray) -> np.ndarray:
-    """Drop trailing coefficients that are exactly or essentially zero."""
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    keep = len(coeffs)
-    while keep > 1 and abs(coeffs[keep - 1]) < 1e-300 * scale:
-        keep -= 1
-    return coeffs[:keep]
-
-
 def _polish_roots(coeffs: np.ndarray, roots: np.ndarray,
                   steps: int = 2) -> np.ndarray:
     """Newton steps on ``roots`` of the polynomial ``coeffs`` (low to
@@ -201,15 +198,6 @@ def _polish_roots(coeffs: np.ndarray, roots: np.ndarray,
         safe = np.abs(dv) > 1e-280
         out[safe] = out[safe] - fv[safe] / dv[safe]
     return out
-
-
-def _roots_mpmath(coeffs: np.ndarray) -> np.ndarray:
-    """Higher-precision retry for the critical numerator roots."""
-    import mpmath  # only this rare path needs it; keeps package import light
-    with mpmath.workdps(50):
-        desc = [mpmath.mpc(c) for c in coeffs[::-1]]
-        rts = mpmath.polyroots(desc, maxsteps=200, extraprec=120)
-    return np.array([complex(r) for r in rts])
 
 
 def _deriv_modulus(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
@@ -228,74 +216,85 @@ def _deriv_modulus(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
     return abs(z) ** (B.m - 1) * abs(mv) / abs(h.prod(axis=1)) ** 2
 
 
-def _refine_critical(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
-    """Eight Aberth steps on the interior roots ``z`` of ``M``, whose
-    other roots are their reflections ``1/conj(z)``.  ``M'/M`` comes from
-    the factored form ``M = PQ f`` with ``f = m + z sum_k w_k/g_k``,
-    ``g_k = (z-a_k)(1-conj(a_k)z)`` and ``w_k = 1-|a_k|^2``; a point
-    sitting on a multiple zero of ``B`` gets no finite step and stays."""
-    a = np.asarray(B._zeros)
-    ac, w = np.conj(a), 1.0 - abs(a) ** 2
+def _aberth(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
+            steps: int) -> tuple[np.ndarray, bool]:
+    """Up to ``steps`` Aberth steps on the interior roots ``z`` of
+    ``F = f prod_k g_k``, ``f = m + z sum_k mu_k w_k/g_k``, with
+    ``g_k = (z-a_k)(1-conj(a_k)z)``, ``w_k = 1-|a_k|^2`` over distinct
+    nonzero zeros ``a_k`` of multiplicity ``mu_k``, from the factored
+    ``F'/F = f'/f + sum_k g_k'/g_k`` with the mirrored roots
+    ``1/conj(z_j)`` deflated.  Non-finite steps are not taken.  Returns
+    the points and whether all steps fell below ``_ABERTH_TOL * |z|``."""
+    ac, aa = a.conjugate(), abs(a) ** 2
+    mw = mu * (1.0 - aa)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(8):
-            zc = z[:, None]
-            g = (zc - a) * (1.0 - ac * zc)
-            f = B.m + z * (w / g).sum(axis=1)
-            df = (w * (ac * zc ** 2 - a) / g ** 2).sum(axis=1)
-            log_dm = (df / f + (1.0 / (zc - a)).sum(axis=1)
-                      - (ac / (1.0 - ac * zc)).sum(axis=1))
+        for _ in range(steps):
+            zc, zb = z[:, None], z.conjugate()
+            acz = ac * zc
+            r = 1.0 / ((zc - a) * (1.0 - acz))
             gaps = zc - z
-            np.fill_diagonal(gaps, np.inf)
-            # 1/(z_j - 1/conj(z_i)) written to stay finite at z_i = 0
-            step = 1.0 / (log_dm - (1.0 / gaps).sum(axis=1)
-                          - (np.conj(z) / (zc * np.conj(z) - 1.0)).sum(axis=1))
+            gaps.flat[::len(z) + 1] = np.inf    # drops 1/(z_i - z_i)
+            log_f = ((acz * zc - a) * r * r) @ mw / (m + z * (r @ mw))
+            # g_k' = 1 + |a_k|^2 - 2 conj(a_k) z, and 1/(z_i - 1/conj(z_j))
+            # written to stay finite at z_j = 0
+            step = 1.0 / (log_f + ((1.0 + aa - 2.0 * acz) * r - 1.0 / gaps
+                                   - zb / (zc * zb - 1.0)).sum(axis=1))
             z = np.where(np.isfinite(step), z - step, z)
-    return z
+            if (abs(step) <= _ABERTH_TOL * abs(z)).all():
+                return z, True
+    return z, False
 
 
 def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     """Free critical divisor of ``B`` (the forward divisor map).
 
-    The forced ``(m-1)``-fold critical point at the origin is removed
-    analytically; the remaining numerator roots split into exactly
-    ``e`` inside the disk (collected, with multiplicity by merging) and
-    a mirrored set outside (counted in ``residual_count``).  Every
-    interior root is checked with one vectorized evaluation of ``|B'|``;
-    when any exceeds ``CRIT_TOL``, all are refined by Aberth iteration
-    on the factored numerator and checked again.
+    A zero atom ``mu*a`` gives ``(mu-1)*a`` exactly, ``mu*0`` gives
+    ``mu*0``.  The rest are the interior roots of ``F`` (``_aberth``)
+    over the ``d`` distinct nonzero zeros.  For ``d > _EIGEN_MAX`` the
+    kernel starts at ``0.9 a_k + 0.01 exp(2 pi i (k+1/4)/d)`` and runs to
+    convergence; otherwise, or if that fails, it takes one step from the
+    interior half of the roots of ``B._mnum`` (pairs ``z, 1/conj(z)``
+    and the zeros at 0) less the ``k`` nearest each exact atom ``k*c``.
+    Points outside the disk are reflected, onto roots of ``F`` too; each
+    must then pass ``|B'| <= CRIT_TOL`` by ``_deriv_modulus``.
 
     Raises
     ------
     PreconditionError
         If ``e == 0`` (no free zeros, hence no free critical points).
     NumericalError
-        If the interior root count differs from ``e`` even after the
-        higher-precision retry, or if a refined root still has
-        ``|B'| > CRIT_TOL`` or left the disk.
+        If a computed point has ``|B'| > CRIT_TOL`` or lies on or
+        outside the circle.
     """
     e = B.e
     if e < 1:
         raise PreconditionError("critical_divisor needs at least one free zero")
-    coeffs = _trimmed(B._mnum)
-    roots = _polish_roots(coeffs, npoly.polyroots(coeffs))
-    interior = roots[abs(roots) < 1.0]
-    if len(interior) != e:
-        roots = _polish_roots(coeffs, _roots_mpmath(coeffs), steps=1)
-        interior = roots[abs(roots) < 1.0]
-        if len(interior) != e:
-            raise NumericalError(
-                f"found {len(interior)} interior critical points, expected {e}")
-    if np.max(_deriv_modulus(B, interior)) > CRIT_TOL:
-        interior = _refine_critical(B, interior)
-        worst = float(np.max(_deriv_modulus(B, interior)))
-        if not (worst <= CRIT_TOL and np.all(abs(interior) < 1.0)):
+    nonzero = [(z, mu) for z, mu in B.free_zeros.atoms if z != 0]
+    mu0 = e - sum(mu for _, mu in nonzero)
+    atoms = [(z, mu - 1) for z, mu in nonzero if mu > 1]
+    if mu0:
+        atoms.append((0j, mu0))
+    if nonzero:
+        a = np.array([z for z, _ in nonzero])
+        mu = np.array([k for _, k in nonzero])
+        m, d, done = B.m + mu0, len(a), False
+        if d > _EIGEN_MAX:
+            z = 0.9 * a + 0.01 * np.exp(2j * np.pi * (np.arange(d) + 0.25) / d)
+            z, done = _aberth(a, mu, m, z, _ABERTH_STEPS)
+        if not done:
+            z = npoly.polyroots(B._mnum)    # trims the exact zeros on top
+            z = z[abs(z).argsort()[:e]]
+            for c, k in atoms:
+                z = np.delete(z, abs(z - c).argsort()[:k])
+            z, _ = _aberth(a, mu, m, z, 1)
+        z = np.divide(1.0, z.conjugate(), out=z, where=abs(z) > 1.0)
+        worst = float(_deriv_modulus(B, z).max())
+        if not (worst <= CRIT_TOL and (abs(z) < 1.0).all()):
             raise NumericalError(
                 f"a computed critical point has |B'| = {worst:.3g} "
                 f"or lies outside the disk")
-    free_ram = Divisor([(complex(z), 1) for z in interior], REGION_INTERIOR)
-    if free_ram.degree != e:
-        raise NumericalError("critical divisor degree lost in merging")
-    return RamificationResult(free_ram, len(roots) - len(interior))
+        atoms.extend((complex(c), 1) for c in z)
+    return RamificationResult(Divisor(atoms, REGION_INTERIOR), e - mu0)
 
 
 def zeros_from_critical(R: Divisor, m: int,

@@ -339,8 +339,8 @@ def _tracked_orbit(zeros: Sequence[complex], m: int, l: int, zeta: complex,
     Newton from ``c0`` on the factored numerator
     ``f(z) = m + z sum_k w_k/g_k`` (``g_k = (z-a_k)(1-conj(a_k)z)``,
     ``w_k = 1-|a_k|^2``, ``f' = sum_k w_k(conj(a_k)z^2-a_k)/g_k^2``, the
-    formulas of ``_refine_critical``) stops on the step size.  The
-    implicit function theorem gives ``dc/dzeta = -F_zeta/f'(c)`` and
+    formulas of the kernel ``blaschke._aberth``) stops on the step size.
+    The implicit function theorem gives ``dc/dzeta = -F_zeta/f'(c)`` and
     ``dc/dconj(zeta) = -F_conj(zeta)/f'(c)`` from the zeta term
     ``z(1-|zeta|^2)/((z-zeta)(1-conj(zeta)z))`` of ``f``, whose
     derivatives are ``z/(z-zeta)^2`` and ``z/(1-conj(zeta)z)^2``.  Along

@@ -20,6 +20,7 @@ from blaschkediv import (BlaschkeProduct, Divisor, NumericalError,
                          from_zero_divisor, hull_contains, matching_distance,
                          multiplier_at_zero, phi_1m_closed_form, walsh_check,
                          zeros_from_critical)
+from blaschkediv import blaschke
 from blaschkediv.blaschke import _critical_numerator, _numerator_partials
 
 
@@ -280,6 +281,112 @@ def test_critical_divisor_returns_only_critical_points():
                                 for a in DRAW_6794)
         assert abs(B.eval(c) * log_deriv) <= 1e-9
     assert walsh_check(B)
+
+
+def product_form_deriv(zeros, m: int, pts) -> np.ndarray:
+    """``|B'| = |B| |m/c + sum (1-|a|^2)/((c-a)(1-conj(a)c))|`` at each
+    ``c`` in ``pts``, from the product form alone."""
+    a = np.asarray(zeros, dtype=complex)
+    c = np.asarray(pts, dtype=complex)[:, None]
+    h = 1.0 - np.conj(a) * c
+    modulus = abs(c[:, 0]) ** m * np.prod(abs((c - a) / h), axis=1)
+    log_deriv = m / c[:, 0] + ((1.0 - abs(a) ** 2) / ((c - a) * h)).sum(axis=1)
+    return modulus * abs(log_deriv)
+
+
+def test_critical_divisor_multiple_zero_atoms_are_exact():
+    # 3*(0.5), m = 1: B'/B = 1/z + 2.25/((z-0.5)(1-0.5z)), so the free
+    # critical divisor is 2*(0.5) + 1*((7-3 sqrt 5)/2)
+    B = from_zero_divisor(Divisor([(0.5 + 0j, 3)], "interior"), 1)
+    (c, one), double = critical_divisor(B).free_ram.atoms
+    assert double == (0.5 + 0j, 2) and one == 1
+    assert abs(c - (7.0 - 3.0 * math.sqrt(5.0)) / 2.0) <= 1e-15
+    B = from_zero_divisor(Divisor([(0j, 2), (0.4 + 0.2j, 2)], "interior"), 1)
+    atoms = critical_divisor(B).free_ram.atoms
+    assert (0j, 2) in atoms and (0.4 + 0.2j, 1) in atoms
+    assert sum(mu for _, mu in atoms) == 4
+    (c,) = [z for z, _ in atoms if z not in (0j, 0.4 + 0.2j)]
+    zeros = [0, 0, 0.4 + 0.2j, 0.4 + 0.2j]
+    assert product_form_deriv(zeros, 1, [c])[0] <= 1e-12
+
+
+def test_critical_divisor_residual_count():
+    for zeros, want in (([0, 0.3 + 0.1j], 1), ([0, 0, 0.5j], 1),
+                        ([0.2, 0.4j], 2), ([0.5, 0.5, 0.5], 3)):
+        B = from_zero_divisor(Divisor([(complex(z), 1) for z in zeros],
+                                      "interior"), 1)
+        assert critical_divisor(B).residual_count == want
+
+
+#: The 25th draw of 24 zeros inside 0.999 from ``default_rng(24)`` (m = 1):
+#: refining the roots of the expanded numerator left a point outside the
+#: disk.
+NEAR_CIRCLE_24 = [
+    complex(-0.08409537817203515, -0.6374712341495176),
+    complex(0.35331999398864816, -0.8885693440006285),
+    complex(-0.24387282227247933, 0.36402048319726),
+    complex(-0.26233420221038156, -0.8992748735766114),
+    complex(-0.6318530147631408, -0.6836808828326272),
+    complex(0.39566654547596786, -0.7823163105840621),
+    complex(0.6050941450875866, -0.6545184277976064),
+    complex(-0.275594377699692, 0.6858993126638494),
+    complex(0.2999232565872538, -0.8424932572825149),
+    complex(-0.07020271930948595, 0.3694807295617592),
+    complex(0.5260064713431811, 0.3033018636591345),
+    complex(0.27371664468408474, -0.8554285786979704),
+    complex(0.29579066838487916, 0.11159488459033941),
+    complex(-0.0015472896899553059, -0.6747172132935391),
+    complex(0.43963793388641786, -0.8703696963703208),
+    complex(0.4778806676125721, 0.8317878824102718),
+    complex(0.820022811476526, 0.37662254898858893),
+    complex(-0.01614786126241031, -0.1105996447003502),
+    complex(0.10183164925687563, 0.7530285384394451),
+    complex(0.6062502773837339, -0.029588082806042613),
+    complex(-0.1904082846322059, 0.04391564853854896),
+    complex(0.7754444338061696, 0.594409952272375),
+    complex(0.8755111141832121, -0.17953230887884564),
+    complex(0.11091321299362684, -0.5643732773360759),
+]
+
+
+def test_critical_divisor_near_circle_draw():
+    B = from_zero_divisor(interior_divisor(NEAR_CIRCLE_24), 1)
+    ram = critical_divisor(B).free_ram
+    assert len(ram.atoms) == 24
+    pts = ram.points()
+    assert all(abs(c) < 1.0 for c in pts)
+    assert np.max(product_form_deriv(NEAR_CIRCLE_24, 1, pts)) <= 1e-12
+
+
+def test_critical_divisor_seeded_accuracy():
+    rng = np.random.default_rng(1111)
+    for radius in (0.9, 0.999):
+        for e in (8, 16, 24):
+            for _ in range(40):
+                zeros = radius * np.sqrt(rng.random(e)) * np.exp(
+                    2j * np.pi * rng.random(e))
+                m = int(rng.integers(1, 4))
+                B = from_zero_divisor(interior_divisor(zeros), m)
+                ram = critical_divisor(B).free_ram
+                # simple critical points: none found twice, none missed
+                assert len(ram.atoms) == e
+                pts = ram.points()
+                assert np.max(product_form_deriv(zeros, m, pts)) <= 1e-9
+
+
+def test_critical_divisor_falls_back_to_eigen_seeds(monkeypatch):
+    # one Aberth step from the zero seeds never converges, so every
+    # product above the crossover takes the eigen-seeded branch
+    monkeypatch.setattr(blaschke, "_ABERTH_STEPS", 1)
+    rng = np.random.default_rng(1112)
+    for e in (7, 10):
+        zeros = 0.9 * np.sqrt(rng.random(e)) * np.exp(
+            2j * np.pi * rng.random(e))
+        B = from_zero_divisor(interior_divisor(zeros), 2)
+        ram = critical_divisor(B).free_ram
+        assert len(ram.atoms) == e
+        pts = ram.points()
+        assert np.max(product_form_deriv(zeros, 2, pts)) <= 1e-9
 
 
 def _loaded_after_import(statement: str, modules: list[str]) -> list[bool]:
