@@ -21,13 +21,13 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .blaschke import (critical_divisor, from_zero_divisor,
                        zeros_from_critical)
 from .boundary import (DEFAULT_DEPTH, DEFAULT_TOL, boundary_from_json,
                        classify, extend_phi)
-from .divisor import (Divisor, divisor_from_json, divisor_to_json)
+from .divisor import _atom_from_json, divisor_from_json, divisor_to_json
 from .errors import (NumericalError, PreconditionError, SchemaError)
 from .experiments import (SweepConfig, multiplier_limit_check,
                           prescribe_distance, verify_cont_orbit,
@@ -69,30 +69,6 @@ def _load_payload(value: str):
         raise SchemaError(f"invalid JSON in {value!r}: {exc}") from exc
 
 
-def _parse_point(obj: object) -> complex:
-    """A single point from JSON: a real number, an ``[re, im]`` pair, a
-    ``{"re", "im"}`` object, a ``{"angle_turns": t}`` object, or a
-    ``"num/den"`` string of turns."""
-    if isinstance(obj, (int, float)):
-        return complex(float(obj), 0.0)
-    if isinstance(obj, str):
-        try:
-            theta = Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"invalid angle fraction {obj!r}") from exc
-        return cmath.exp(2j * cmath.pi * float(theta))
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, dict):
-        keys = set(obj)
-        if keys == {"re", "im"}:
-            return complex(float(obj["re"]), float(obj["im"]))
-        if keys == {"angle_turns"}:
-            return cmath.exp(2j * cmath.pi * float(obj["angle_turns"]))
-        raise SchemaError(f"unknown point keys {sorted(keys)!r}")
-    raise SchemaError(f"cannot parse point from {obj!r}")
-
-
 def _check_keys(config: dict, required: set, optional: set,
                 where: str) -> None:
     keys = set(config)
@@ -124,11 +100,6 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _write_svg(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def cmd_critpts(args: argparse.Namespace) -> int:
     Z = divisor_from_json(_load_payload(args.zeros))
     B = from_zero_divisor(Z, args.m)
@@ -139,31 +110,26 @@ def cmd_critpts(args: argparse.Namespace) -> int:
         crit_pts = ram.free_ram.points()
         if args.m >= 2:
             crit_pts = [0j] + crit_pts
-        _write_svg(disk_figure(zeros=zero_pts, critical=crit_pts,
-                               hull_generators=zero_pts,
-                               deterministic=args.deterministic),
-                   args.svg)
+        _emit(disk_figure(zeros=zero_pts, critical=crit_pts,
+                          hull_generators=zero_pts,
+                          deterministic=args.deterministic), args.svg)
     return 0
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
     R = divisor_from_json(_load_payload(args.ram))
-    tol = args.tol if args.tol is not None else 1e-12
-    B = zeros_from_critical(R, args.m, newton_tol=tol)
+    B = zeros_from_critical(R, args.m, newton_tol=args.tol)
     _emit(_json_text(divisor_to_json(B.free_zeros)), args.out)
     if args.svg:
-        _write_svg(disk_figure(zeros=[0j] + B.free_zeros.points(),
-                               critical=R.points(),
-                               deterministic=args.deterministic),
-                   args.svg)
+        _emit(disk_figure(zeros=[0j] + B.free_zeros.points(),
+                          critical=R.points(),
+                          deterministic=args.deterministic), args.svg)
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     D = boundary_from_json(_load_payload(args.divisor))
-    depth = args.depth if args.depth is not None else DEFAULT_DEPTH
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    report = classify(D, depth=depth, tol=tol)
+    report = classify(D, depth=args.depth, tol=args.tol)
     _emit(_json_text(report.to_json()), args.out)
     return 0
 
@@ -178,121 +144,143 @@ def cmd_extend(args: argparse.Namespace) -> int:
         interior = [z for z, _ in result.atoms if abs(z) < 1.0]
         circle = [z for z, mult in result.atoms if abs(z) >= 1.0
                   for _ in range(mult)]
-        _write_svg(disk_figure(zeros=inputs + circle, critical=interior,
-                               deterministic=args.deterministic),
-                   args.svg)
+        _emit(disk_figure(zeros=inputs + circle, critical=interior,
+                          deterministic=args.deterministic), args.svg)
     return 0
 
 
 def cmd_lamination(args: argparse.Namespace) -> int:
     D = boundary_from_json(_load_payload(args.divisor))
-    depth = args.depth if args.depth is not None else 3
-    table = lamination_table(D, depth)
+    table = lamination_table(D, args.depth)
     _emit(_csv_text(LAMINATION_CSV_HEADER, table_csv_rows(table)), args.out)
     if args.svg:
         leaves = [(cmath.exp(2j * cmath.pi * float(tm)),
                    cmath.exp(2j * cmath.pi * float(tp)))
                   for tm, tp in ray_pairs(table)]
-        _write_svg(disk_figure(leaves=leaves,
-                               deterministic=args.deterministic),
-                   args.svg)
+        _emit(disk_figure(leaves=leaves, deterministic=args.deterministic),
+              args.svg)
     return 0
 
 
-def _experiment_converge(config: dict, args: argparse.Namespace) -> dict:
-    _check_keys(config, {"divisor", "m", "epsilons", "samples_per_epsilon",
-                         "rng_seed"}, {"tolerances"}, "converge config")
+def _value(config: dict, key: str, convert, default=None):
+    """``convert(config[key])``, or ``default`` when the key is absent.
+    A value of the wrong type is a schema error naming its key."""
+    if key not in config:
+        return default
+    try:
+        return convert(config[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"config key {key!r}: {exc}") from exc
+
+
+def _list(value: object) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def _ints(value: object) -> list[int]:
+    return [int(n) for n in _list(value)]
+
+
+def _point(value: object) -> complex:
+    z, mult = _atom_from_json(value)
+    if mult != 1:
+        raise SchemaError(f"a point has multiplicity 1, got {value!r}")
+    return z
+
+
+def _run_converge(config: dict) -> dict:
     D = boundary_from_json(config["divisor"])
-    seed = args.seed if args.seed is not None else config["rng_seed"]
-    cfg = SweepConfig(config["epsilons"], config["samples_per_epsilon"],
-                      seed, config.get("tolerances"))
-    return verify_extension_convergence(D, int(config["m"]), cfg)
+    cfg = SweepConfig(
+        _value(config, "epsilons", lambda v: [float(e) for e in _list(v)]),
+        _value(config, "samples_per_epsilon", int),
+        _value(config, "rng_seed", int),
+        _value(config, "tolerances", lambda v: dict(v or {})))
+    return verify_extension_convergence(D, _value(config, "m", int), cfg)
 
 
-def _experiment_cont_orbit(config: dict, args: argparse.Namespace) -> dict:
-    _check_keys(config, {"divisor", "q", "l", "n_schedule"}, set(),
-                "cont-orbit config")
+def _run_multiplier(config: dict) -> dict:
     D = boundary_from_json(config["divisor"])
-    return verify_cont_orbit(D, _parse_point(config["q"]),
-                             int(config["l"]), config["n_schedule"])
+    return multiplier_limit_check(D, _value(config, "n_schedule", _ints))
 
 
-def _experiment_prescribe(config: dict, args: argparse.Namespace) -> dict:
-    _check_keys(config, {"divisor", "q", "l", "L", "eps"},
-                {"tau", "max_attempts"}, "prescribe config")
+def _run_cont_orbit(config: dict) -> dict:
     D = boundary_from_json(config["divisor"])
-    cert = prescribe_distance(
-        D, _parse_point(config["q"]), int(config["l"]),
-        float(config["L"]), float(config["eps"]),
-        tau=float(config.get("tau", 1e-3)),
-        max_attempts=int(config.get("max_attempts", 8)))
-    return cert.to_json()
+    return verify_cont_orbit(D, _value(config, "q", _point),
+                             _value(config, "l", int),
+                             _value(config, "n_schedule", _ints))
 
 
-def _experiment_multiplier(config: dict, args: argparse.Namespace) -> dict:
-    _check_keys(config, {"divisor", "n_schedule"}, set(),
-                "multiplier config")
+def _run_prescribe(config: dict) -> dict:
     D = boundary_from_json(config["divisor"])
-    return multiplier_limit_check(D, config["n_schedule"])
+    return prescribe_distance(
+        D, _value(config, "q", _point), _value(config, "l", int),
+        _value(config, "L", float), _value(config, "eps", float),
+        tau=_value(config, "tau", float, 1e-3),
+        max_attempts=_value(config, "max_attempts", int, 8)).to_json()
 
 
+class _Experiment(NamedTuple):
+    """An experiment's config keys, its runner, the CSV columns of its
+    report rows (each ``profile`` row, or the report itself when it has
+    no profile), and its figure axes ``(x key, y key, x label, y label)``
+    or None."""
+    required: set
+    optional: set
+    run: Callable[[dict], dict]
+    columns: list
+    axes: Optional[tuple]
+
+
+#: ``render`` draws a profile with the axes of the first entry whose
+#: axis keys its rows carry.
 _EXPERIMENTS = {
-    "converge": _experiment_converge,
-    "cont-orbit": _experiment_cont_orbit,
-    "prescribe": _experiment_prescribe,
-    "multiplier": _experiment_multiplier,
-}
-
-_EXPERIMENT_CSV = {
-    "converge": (["epsilon", "max_distance", "mean_distance",
-                  "projected_max", "failures"],
-                 lambda rep: [[r["epsilon"], r["max_distance"],
-                               r["mean_distance"], r["projected_max"],
-                               r["failures"]] for r in rep["profile"]]),
-    "cont-orbit": (["n", "distance", "circle_distance"],
-                   lambda rep: [[r["n"], r["distance"], r["circle_distance"]]
-                                for r in rep["profile"]]),
-    "multiplier": (["n", "deviation"],
-                   lambda rep: [[r["n"], r["deviation"]]
-                                for r in rep["profile"]]),
-    "prescribe": (["target_L", "achieved", "residual", "iterations"],
-                  lambda rep: [[rep["target_L"], rep["achieved"],
-                                rep["residual"], rep["iterations"]]]),
+    "converge": _Experiment(
+        {"divisor", "m", "epsilons", "samples_per_epsilon", "rng_seed"},
+        {"tolerances"}, _run_converge,
+        ["epsilon", "max_distance", "mean_distance", "projected_max",
+         "failures"],
+        ("epsilon", "max_distance", "epsilon", "max matching distance")),
+    "multiplier": _Experiment(
+        {"divisor", "n_schedule"}, set(), _run_multiplier,
+        ["n", "deviation"], ("n", "deviation", "n", "multiplier deviation")),
+    "cont-orbit": _Experiment(
+        {"divisor", "q", "l", "n_schedule"}, set(), _run_cont_orbit,
+        ["n", "distance", "circle_distance"],
+        ("n", "distance", "n", "orbit distance")),
+    "prescribe": _Experiment(
+        {"divisor", "q", "l", "L", "eps"}, {"tau", "max_attempts"},
+        _run_prescribe, ["target_L", "achieved", "residual", "iterations"],
+        None),
 }
 
 
-def _experiment_figure(name: str, report: dict,
-                       deterministic: bool) -> str:
-    if name == "converge":
-        xs = [r["epsilon"] for r in report["profile"]]
-        ys = [r["max_distance"] for r in report["profile"]]
-        return profile_figure(xs, ys, "epsilon", "max matching distance",
-                              deterministic=deterministic)
-    if name == "cont-orbit":
-        xs = [float(r["n"]) for r in report["profile"]]
-        ys = [r["distance"] for r in report["profile"]]
-        return profile_figure(xs, ys, "n", "orbit distance",
-                              deterministic=deterministic)
-    if name == "multiplier":
-        xs = [float(r["n"]) for r in report["profile"]]
-        ys = [r["deviation"] for r in report["profile"]]
-        return profile_figure(xs, ys, "n", "multiplier deviation",
-                              deterministic=deterministic)
-    raise SchemaError(f"no figure defined for {name!r} reports")
+def _profile_svg(rows: list, axes: tuple, deterministic: bool) -> str:
+    x, y, xlabel, ylabel = axes
+    return profile_figure([float(r[x]) for r in rows], [r[y] for r in rows],
+                          xlabel, ylabel, deterministic=deterministic)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _load_payload(args.config)
     if not isinstance(config, dict):
         raise SchemaError("experiment config must be a JSON object")
-    report = _EXPERIMENTS[args.name](config, args)
+    if args.seed is not None:
+        config["rng_seed"] = args.seed
+    exp = _EXPERIMENTS[args.name]
+    _check_keys(config, exp.required, exp.optional, f"{args.name} config")
+    if args.svg and exp.axes is None:
+        raise SchemaError(f"no figure defined for {args.name!r} reports")
+    report = exp.run(config)
     _emit(_json_text(report), args.out)
+    rows = report.get("profile", [report])
     if args.csv:
-        header, extract = _EXPERIMENT_CSV[args.name]
-        _emit(_csv_text(header, extract(report)), args.csv)
+        _emit(_csv_text(exp.columns,
+                        [[r[c] for c in exp.columns] for r in rows]),
+              args.csv)
     if args.svg:
-        _write_svg(_experiment_figure(args.name, report,
-                                      args.deterministic), args.svg)
+        _emit(_profile_svg(rows, exp.axes, args.deterministic), args.svg)
     return 0
 
 
@@ -336,22 +324,11 @@ def cmd_render(args: argparse.Namespace) -> int:
                            deterministic=args.deterministic)
     elif isinstance(payload, dict) and "profile" in payload:
         rows = payload["profile"]
-        if rows and "epsilon" in rows[0]:
-            xs = [r["epsilon"] for r in rows]
-            ys = [r["max_distance"] for r in rows]
-            labels = ("epsilon", "max matching distance")
-        elif rows and "deviation" in rows[0]:
-            xs = [float(r["n"]) for r in rows]
-            ys = [r["deviation"] for r in rows]
-            labels = ("n", "multiplier deviation")
-        elif rows and "distance" in rows[0]:
-            xs = [float(r["n"]) for r in rows]
-            ys = [r["distance"] for r in rows]
-            labels = ("n", "orbit distance")
-        else:
+        axes = [exp.axes for exp in _EXPERIMENTS.values() if rows and
+                exp.axes and exp.axes[0] in rows[0] and exp.axes[1] in rows[0]]
+        if not axes:
             raise SchemaError("profile rows have no renderable columns")
-        text = profile_figure(xs, ys, labels[0], labels[1],
-                              deterministic=args.deterministic)
+        text = _profile_svg(rows, axes[0], args.deterministic)
     else:
         raise SchemaError("input is not a renderable report")
     _emit(text, args.out)
@@ -359,26 +336,24 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="tolerance override")
-    common.add_argument("--depth", type=int, default=None,
-                        help="orbit / tree depth override")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed override for experiment configs")
-    common.add_argument("--deterministic", action="store_true",
-                        help="suppress timestamps in SVG output")
-    common.add_argument("--out", default=None,
+    # --out --svg --deterministic go through one parent parser, which is
+    # cheaper to build than declaring them on each subparser; classify
+    # and render, which draw no figure next to their output, declare
+    # their own subset.
+    figure = argparse.ArgumentParser(add_help=False)
+    figure.add_argument("--out", default=None,
                         help="output path (default: stdout)")
-    common.add_argument("--svg", default=None,
+    figure.add_argument("--svg", default=None,
                         help="also write an SVG figure to this path")
+    figure.add_argument("--deterministic", action="store_true",
+                        help="suppress timestamps in SVG output")
 
     parser = argparse.ArgumentParser(
         prog="blaschkediv",
         description="Divisor calculus of finite Blaschke products.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("critpts", parents=[common],
+    p = sub.add_parser("critpts", parents=[figure],
                        help="critical divisor of a product given by zeros")
     p.add_argument("--zeros", required=True,
                    help="zero divisor (inline JSON or path)")
@@ -386,14 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="multiplicity of the zero at the origin")
     p.set_defaults(func=cmd_critpts)
 
-    p = sub.add_parser("invert", parents=[common],
+    p = sub.add_parser("invert", parents=[figure],
                        help="zeros from a prescribed ramification divisor")
     p.add_argument("--ram", required=True,
                    help="ramification divisor (inline JSON or path)")
     p.add_argument("--m", type=int, required=True)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="residual each Newton solve must reach")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("extend", parents=[common],
+    p = sub.add_parser("extend", parents=[figure],
                        help="boundary extension of the critical-divisor map")
     p.add_argument("--divisor", required=True,
                    help="boundary divisor (inline JSON or path)")
@@ -401,28 +378,41 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="multiplicity at the origin (default: from input)")
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify",
                        help="type classification of a boundary divisor")
     p.add_argument("--divisor", required=True)
+    p.add_argument("--out", default=None,
+                   help="output path (default: stdout)")
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+                   help="orbit depth of the numerical sweeps")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="tolerance of the numerical sweeps")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("lamination", parents=[common],
+    p = sub.add_parser("lamination", parents=[figure],
                        help="exact angle table of the preimage tree")
     p.add_argument("--divisor", required=True)
+    p.add_argument("--depth", type=int, default=3, help="tree depth")
     p.set_defaults(func=cmd_lamination)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment", parents=[figure],
                        help="deterministic numerical experiments")
     p.add_argument("name", choices=sorted(_EXPERIMENTS))
     p.add_argument("--config", required=True,
                    help="experiment config (inline JSON or path)")
     p.add_argument("--csv", default=None,
                    help="also write the profile as CSV to this path")
+    p.add_argument("--seed", type=int, default=None,
+                   help="sets the config's rng_seed")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("render", parents=[common],
+    p = sub.add_parser("render",
                        help="figure from a saved report (JSON or CSV)")
     p.add_argument("--input", required=True)
+    p.add_argument("--out", default=None,
+                   help="output path (default: stdout)")
+    p.add_argument("--deterministic", action="store_true",
+                   help="suppress timestamps in SVG output")
     p.set_defaults(func=cmd_render)
 
     return parser

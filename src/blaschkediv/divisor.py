@@ -363,15 +363,23 @@ def _angle_turns_point(value: object) -> complex:
     return cmath.exp(2j * math.pi * theta)
 
 
+def _coordinate(value: object) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(
+            f"atom coordinate must be a number, got {value!r}") from exc
+
+
 def _atom_from_json(obj: object) -> tuple[complex, int]:
     if isinstance(obj, (int, float)):
-        return complex(obj), 1
+        return complex(_coordinate(obj)), 1
     if isinstance(obj, str):
         return _angle_turns_point(obj), 1
     if isinstance(obj, list):
         if len(obj) != 2:
             raise SchemaError(f"atom list must be [re, im], got {obj!r}")
-        return complex(float(obj[0]), float(obj[1])), 1
+        return complex(_coordinate(obj[0]), _coordinate(obj[1])), 1
     if isinstance(obj, dict):
         mult = obj.get("mult", 1)
         if not isinstance(mult, int) or mult <= 0:
@@ -386,7 +394,7 @@ def _atom_from_json(obj: object) -> tuple[complex, int]:
             raise SchemaError(f"unknown atom keys {sorted(extra)}")
         if "re" not in obj or "im" not in obj:
             raise SchemaError(f"atom needs re and im (or angle_turns): {obj!r}")
-        return complex(float(obj["re"]), float(obj["im"])), mult
+        return complex(_coordinate(obj["re"]), _coordinate(obj["im"])), mult
     raise SchemaError(f"cannot parse atom {obj!r}")
 
 

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blaschke import (BlaschkeProduct, critical_divisor, from_zero_divisor,
-                       multiplier_at_zero)
+from .blaschke import (BlaschkeProduct, boundary_orbit, critical_divisor,
+                       from_zero_divisor, multiplier_at_zero)
 from .boundary import BoundaryDivisor, extend_phi
 from .divisor import (Divisor, REGION_INTERIOR, add, divisor_to_json,
                       is_simple, matching_distance)
@@ -219,7 +219,9 @@ def _critical_point_near(B: BlaschkeProduct, q: complex) -> complex:
 
 
 def _check_orbit_preconditions(D: BoundaryDivisor, q: complex, l: int,
-                               tol: float = 1e-9) -> None:
+                               tol: float = 1e-9) -> complex:
+    """Check that ``S`` is simple, misses 1 and holds ``q``, and that no
+    intermediate iterate of ``q`` lands on it; return ``B^l(q)``."""
     S = D.circle_part
     if not is_simple(S):
         raise PreconditionError("the circle part must be simple")
@@ -227,13 +229,12 @@ def _check_orbit_preconditions(D: BoundaryDivisor, q: complex, l: int,
         raise PreconditionError("1 must stay outside supp(S)")
     if S.multiplicity(q, tol=1e-9) == 0:
         raise PreconditionError("q must be a support point")
-    w = complex(q)
+    orbit = boundary_orbit(D.interior_part, q, l)
     for k in range(1, l):
-        w = D.interior_part.eval(w)
-        w /= abs(w)
-        if any(abs(w - z) <= tol for z, _ in S.atoms):
+        if any(abs(orbit[k] - z) <= tol for z, _ in S.atoms):
             raise PreconditionError(
                 f"intermediate iterate {k} lands on supp(S)")
+    return orbit[l]
 
 
 def _radial_approach(D: BoundaryDivisor, n: int) -> Divisor:
@@ -258,11 +259,7 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
     if l < 1:
         raise PreconditionError("l must be at least 1")
     q = complex(q)
-    _check_orbit_preconditions(D, q, l)
-    target = complex(q)
-    for _ in range(l):
-        target = D.interior_part.eval(target)
-        target /= abs(target)
+    target = _check_orbit_preconditions(D, q, l)
     m = D.interior_part.m
     rows = []
     for n in n_schedule:
@@ -428,12 +425,8 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
         raise PreconditionError("l must be at least 1")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    _check_orbit_preconditions(D, q, l)
+    qp = _check_orbit_preconditions(D, q, l)
     B = D.interior_part
-    qp = complex(q)
-    for _ in range(l):
-        qp = B.eval(qp)
-        qp /= abs(qp)
     if D.circle_part.multiplicity(qp, tol=1e-9) == 0:
         raise PreconditionError("B^l(q) must be a support point")
     if abs(qp - q) <= 1e-9:

@@ -3,6 +3,7 @@ SVG figures, seed handling, determinism, and exit codes."""
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import csv
 import io
@@ -13,7 +14,8 @@ import subprocess
 
 import pytest
 
-from blaschkediv.cli import main
+from blaschkediv.boundary import DEFAULT_DEPTH, DEFAULT_TOL
+from blaschkediv.cli import _build_parser, main
 
 ORBIT_DIVISOR = '{"m": 2, "support": ["1/3", "2/3"]}'
 
@@ -454,6 +456,111 @@ def test_exit_oserror_unwritable_out(capsys):
                  "--out", "/nonexistent-dir-q7/out.json"])
     assert code == 4
     assert json.loads(err)["error"] in ("FileNotFoundError", "OSError")
+
+
+@pytest.mark.parametrize("zeros", ['[["a", 0]]', '[{"re": "x", "im": 0}]',
+                                   '[[null, 0]]'])
+def test_exit_schema_non_numeric_atom(zeros, capsys):
+    code, out, err = run_cli(capsys, ["critpts", "--zeros", zeros, "--m", "1"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("cont-orbit", "q", ["a", 1]),
+    ("cont-orbit", "q", {"angle_turns": "1/3", "mult": 2}),
+    ("cont-orbit", "l", "x"),
+    ("multiplier", "n_schedule", 5),
+    ("converge", "m", "x"),
+])
+def test_exit_schema_wrong_typed_config_value(name, key, value, capsys):
+    config = {
+        "cont-orbit": {"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3",
+                       "l": 1, "n_schedule": [100, 1000]},
+        "multiplier": {"divisor": {"m": 1, "support": ["1/4", "3/4"]},
+                       "n_schedule": [10, 100]},
+        "converge": json.loads(CONVERGE_CONFIG),
+    }[name]
+    config[key] = value
+    code, out, err = run_cli(
+        capsys, ["experiment", name, "--config", json.dumps(config)])
+    assert code == 4 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "SchemaError"
+    assert repr(key) in diagnostic["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--divisor", ORBIT_DIVISOR, "--svg", "f.svg"],
+    ["render", "--input", '{"foo": 1}', "--svg", "f.svg"],
+    ["critpts", "--zeros", "[0.6]", "--m", "1", "--depth", "3"],
+    ["extend", "--divisor", '{"m": 2, "support": ["1/4"]}', "--tol", "1"],
+])
+def test_unread_option_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "f.svg").exists()
+
+
+def test_seed_on_experiment_without_rng_seed(capsys):
+    config = json.dumps({"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3",
+                         "l": 1, "n_schedule": [100, 1000]})
+    code, out, err = run_cli(
+        capsys, ["experiment", "cont-orbit", "--config", config,
+                 "--seed", "3"])
+    assert code == 4 and out == ""
+    assert "unknown keys ['rng_seed']" in json.loads(err)["message"]
+
+
+def test_prescribe_figure_refused_before_the_solve(tmp_path, capsys):
+    config = json.dumps({"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3",
+                         "l": 1, "L": 1.0, "eps": 0.2})
+    cert_path = tmp_path / "c.json"
+    code, _, err = run_cli(
+        capsys, ["experiment", "prescribe", "--config", config,
+                 "--svg", str(tmp_path / "f.svg"), "--out", str(cert_path)])
+    assert code == 4
+    assert json.loads(err)["error"] == "SchemaError"
+    assert not cert_path.exists()
+    assert not (tmp_path / "f.svg").exists()
+
+
+# Each subcommand's settable options: adding or dropping one is a
+# visible change to this table.
+SUBCOMMAND_OPTIONS = {
+    "critpts": {"--zeros", "--m", "--out", "--svg", "--deterministic"},
+    "invert": {"--ram", "--m", "--tol", "--out", "--svg", "--deterministic"},
+    "extend": {"--divisor", "--m", "--out", "--svg", "--deterministic"},
+    "classify": {"--divisor", "--depth", "--tol", "--out"},
+    "lamination": {"--divisor", "--depth", "--out", "--svg",
+                   "--deterministic"},
+    "experiment": {"name", "--config", "--csv", "--seed", "--out", "--svg",
+                   "--deterministic"},
+    "render": {"--input", "--out", "--deterministic"},
+}
+
+
+def test_subcommand_option_table():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {a.option_strings[0] if a.option_strings else a.dest
+                      for a in sub._actions if a.dest != "help"}
+               for name, sub in subparsers.choices.items()}
+    assert options == SUBCOMMAND_OPTIONS
+    assert sum(map(len, options.values())) == 35
+
+
+def test_subcommand_defaults():
+    parse = _build_parser().parse_args
+    assert parse(["invert", "--ram", "[]", "--m", "1"]).tol == 1e-12
+    args = parse(["classify", "--divisor", "{}"])
+    assert (args.depth, args.tol) == (DEFAULT_DEPTH, DEFAULT_TOL)
+    assert parse(["lamination", "--divisor", "{}"]).depth == 3
+    assert parse(["experiment", "converge", "--config", "{}"]).seed is None
 
 
 # ---------------------------------------------------------------------------

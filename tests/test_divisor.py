@@ -441,3 +441,11 @@ def test_json_schema_errors():
     with pytest.raises(SchemaError):
         # region violation surfaces as a schema error at the JSON layer
         divisor_from_json({"region": "interior", "atoms": [[0.0, 1.0]]})
+
+
+@pytest.mark.parametrize("atoms", [[["a", 0]], [{"re": "x", "im": 0}],
+                                   [[None, 0]], [{"re": 0.1, "im": [0]}],
+                                   [10 ** 400]])
+def test_json_non_numeric_atoms_are_schema_errors(atoms):
+    with pytest.raises(SchemaError):
+        divisor_from_json(atoms)
