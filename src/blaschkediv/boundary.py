@@ -95,6 +95,8 @@ def extend_phi(D: BoundaryDivisor, m: int) -> Divisor:
     For an interior part with no free zeros (in particular the identity)
     the interior contribution is empty.
     """
+    if not isinstance(m, int) or m < 1:
+        raise PreconditionError("m must be a positive integer")
     free = D.interior_part.free_zeros
     if free.degree >= 1:
         ram = critical_divisor(from_zero_divisor(free, m)).free_ram
@@ -459,6 +461,8 @@ def classify(D: BoundaryDivisor, depth: int = DEFAULT_DEPTH,
     circle part is simple and avoids 1, and there the extension is the
     constant symbolic map ``z + z^d``.
     """
+    if not isinstance(depth, int) or depth < 1:
+        raise PreconditionError("depth must be a positive integer")
     S = D.circle_part
     if S.degree < 1:
         raise PreconditionError("classification needs a nonempty circle part")

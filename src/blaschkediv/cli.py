@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
+import numbers
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -256,9 +258,26 @@ _EXPERIMENTS = {
 }
 
 
+def _real(value: object) -> numbers.Real:
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _column(rows: list, key: str, convert) -> list:
+    """``convert`` of each row's ``key``; a missing or non-numeric entry
+    is a schema error naming the column."""
+    try:
+        return [convert(r[key]) for r in rows]
+    except KeyError:
+        raise SchemaError(f"a profile row has no {key!r} column") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"profile column {key!r}: {exc}") from exc
+
+
 def _profile_svg(rows: list, axes: tuple, deterministic: bool) -> str:
     x, y, xlabel, ylabel = axes
-    return profile_figure([float(r[x]) for r in rows], [r[y] for r in rows],
+    return profile_figure(_column(rows, x, float), _column(rows, y, _real),
                           xlabel, ylabel, deterministic=deterministic)
 
 
@@ -291,10 +310,13 @@ def _render_csv_table(path: str, deterministic: bool) -> str:
         raise SchemaError("CSV input is not a lamination table")
     points = []
     leaves = []
-    for row in rows[1:]:
-        points.append(complex(float(row[0]), float(row[1])))
-        tminus = Fraction(int(row[3]), int(row[4]))
-        tplus = Fraction(int(row[5]), int(row[6]))
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            points.append(complex(float(row[0]), float(row[1])))
+            tminus = Fraction(int(row[3]), int(row[4]))
+            tplus = Fraction(int(row[5]), int(row[6]))
+        except (IndexError, ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"lamination CSV line {line}: {exc}") from exc
         if tplus != tminus:
             leaves.append((cmath.exp(2j * cmath.pi * float(tminus)),
                            cmath.exp(2j * cmath.pi * float(tplus))))
@@ -319,11 +341,18 @@ def cmd_render(args: argparse.Namespace) -> int:
                            deterministic=args.deterministic)
     elif isinstance(payload, dict) and "result_divisor" in payload:
         D = divisor_from_json(payload["result_divisor"])
-        w = complex(*payload["orbit_value"])
+        try:
+            w = complex(*payload.get("orbit_value"))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"orbit_value is not a [re, im] pair: {exc}") \
+                from exc
         text = disk_figure(zeros=D.points(), critical=[w],
                            deterministic=args.deterministic)
     elif isinstance(payload, dict) and "profile" in payload:
         rows = payload["profile"]
+        if not isinstance(rows, list) or \
+                not all(isinstance(r, dict) for r in rows):
+            raise SchemaError("profile must be a list of JSON objects")
         axes = [exp.axes for exp in _EXPERIMENTS.values() if rows and
                 exp.axes and exp.axes[0] in rows[0] and exp.axes[1] in rows[0]]
         if not axes:
@@ -335,11 +364,14 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # --out --svg --deterministic go through one parent parser, which is
-    # cheaper to build than declaring them on each subparser; classify
-    # and render, which draw no figure next to their output, declare
-    # their own subset.
+    # Built once per process, on the first ``main`` call: every default
+    # is an immutable scalar and ``parse_args`` returns a fresh
+    # namespace, so one parser serves every call.  --out --svg
+    # --deterministic are declared once on a parent parser; classify and
+    # render, which draw no figure next to their output, declare their
+    # own subset.
     figure = argparse.ArgumentParser(add_help=False)
     figure.add_argument("--out", default=None,
                         help="output path (default: stdout)")
@@ -359,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="zero divisor (inline JSON or path)")
     p.add_argument("--m", type=int, required=True,
                    help="multiplicity of the zero at the origin")
-    p.set_defaults(func=cmd_critpts)
 
     p = sub.add_parser("invert", parents=[figure],
                        help="zeros from a prescribed ramification divisor")
@@ -368,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12,
                    help="residual each Newton solve must reach")
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("extend", parents=[figure],
                        help="boundary extension of the critical-divisor map")
@@ -376,7 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="boundary divisor (inline JSON or path)")
     p.add_argument("--m", type=int, default=None,
                    help="multiplicity at the origin (default: from input)")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("classify",
                        help="type classification of a boundary divisor")
@@ -387,13 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="orbit depth of the numerical sweeps")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="tolerance of the numerical sweeps")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("lamination", parents=[figure],
                        help="exact angle table of the preimage tree")
     p.add_argument("--divisor", required=True)
     p.add_argument("--depth", type=int, default=3, help="tree depth")
-    p.set_defaults(func=cmd_lamination)
 
     p = sub.add_parser("experiment", parents=[figure],
                        help="deterministic numerical experiments")
@@ -404,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the profile as CSV to this path")
     p.add_argument("--seed", type=int, default=None,
                    help="sets the config's rng_seed")
-    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("render",
                        help="figure from a saved report (JSON or CSV)")
@@ -413,16 +439,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="output path (default: stdout)")
     p.add_argument("--deterministic", action="store_true",
                    help="suppress timestamps in SVG output")
-    p.set_defaults(func=cmd_render)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Looked up by name at call time, so a rebound ``cmd_*`` (a wrapper
+    # or a test double) is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except SchemaError as exc:
         _diagnostic(exc)
         return 4

@@ -344,6 +344,21 @@ def test_classify_needs_circle_part():
         classify(D)
 
 
+@pytest.mark.parametrize("zeros", [[], [0.6]])
+@pytest.mark.parametrize("m", [0, -2])
+def test_extend_phi_rejects_nonpositive_m(zeros, m):
+    D = make_boundary(zeros, 1, [(0.25, 1)])
+    with pytest.raises(PreconditionError, match="m must be a positive"):
+        extend_phi(D, m)
+
+
+@pytest.mark.parametrize("depth", [0, -5])
+def test_classify_rejects_nonpositive_depth(depth):
+    D = make_boundary([], 2, [(1 / 3, 1)])
+    with pytest.raises(PreconditionError, match="depth must be a positive"):
+        classify(D, depth=depth)
+
+
 def test_boundary_json_round_trip():
     D = make_boundary([0.3 + 0.2j], 2, [(0.25, 1), (0.5, 2)])
     payload = boundary_to_json(D)

@@ -9,11 +9,14 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+from blaschkediv import cli
 from blaschkediv.boundary import DEFAULT_DEPTH, DEFAULT_TOL
 from blaschkediv.cli import _build_parser, main
 
@@ -367,6 +370,34 @@ def test_render_profile_report(tmp_path, capsys):
     assert "multiplier deviation" in out
 
 
+@pytest.mark.parametrize("report", [
+    '{"profile": [1]}',
+    '{"profile": {"n": 1, "deviation": 0.1}}',
+    '{"profile": [{"n": "a", "deviation": 0.1}]}',
+    '{"profile": [{"n": 1, "deviation": "x"}]}',
+    '{"profile": [{"n": 1, "deviation": 0.1}, {"n": 10}]}',
+    '{"result_divisor": [0.5], "orbit_value": "x"}',
+    '{"result_divisor": [0.5], "orbit_value": [0.1, 0.2, 0.3]}',
+    '{"result_divisor": [0.5]}',
+])
+def test_render_malformed_report_is_a_schema_error(report, capsys):
+    code, out, err = run_cli(capsys, ["render", "--input", report])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("row", ["0.5,0.0,1", "0.5,0.0,1,x,3,2,3,1",
+                                 "0.5,0.0,1,1,0,2,3,1"])
+def test_render_malformed_lamination_csv_is_a_schema_error(row, tmp_path,
+                                                           capsys):
+    table_path = tmp_path / "table.csv"
+    table_path.write_text(",".join(cli.LAMINATION_CSV_HEADER) + "\n"
+                          + row + "\n")
+    code, out, err = run_cli(capsys, ["render", "--input", str(table_path)])
+    assert code == 4 and out == ""
+    assert "line 2" in json.loads(err)["message"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes and diagnostics
 
@@ -490,6 +521,21 @@ def test_exit_schema_wrong_typed_config_value(name, key, value, capsys):
     assert repr(key) in diagnostic["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["extend", "--divisor", '{"m": 1, "support": ["1/3"]}', "--m", "0"],
+     "m must be a positive integer"),
+    (["classify", "--divisor", '{"m": 2, "support": ["1/3"]}',
+      "--depth", "-5"], "depth must be a positive integer"),
+    (["classify", "--divisor", '{"m": 2, "support": ["1/3"]}',
+      "--depth", "0"], "depth must be a positive integer"),
+])
+def test_exit_precondition_out_of_range_argument(argv, message, capsys):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic == {"error": "PreconditionError", "message": message}
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--divisor", ORBIT_DIVISOR, "--svg", "f.svg"],
     ["render", "--input", '{"foo": 1}', "--svg", "f.svg"],
@@ -561,6 +607,62 @@ def test_subcommand_defaults():
     assert (args.depth, args.tol) == (DEFAULT_DEPTH, DEFAULT_TOL)
     assert parse(["lamination", "--divisor", "{}"]).depth == 3
     assert parse(["experiment", "converge", "--config", "{}"]).seed is None
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_no_option_leaks_between_calls(tmp_path, capsys):
+    out_path = tmp_path / "crit.json"
+    argv = ["critpts", "--zeros", "[0.6]", "--m", "1"]
+    code, out, _ = run_cli(capsys, argv + ["--out", str(out_path)])
+    assert code == 0 and out == ""
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == out_path.read_text()
+
+
+def test_valid_call_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["critpts", "--zeros", "[0.6]"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(
+        capsys, ["critpts", "--zeros", "[0.6]", "--m", "1"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["atoms"][0]["re"] == pytest.approx(1.0 / 3.0,
+                                                              abs=1e-9)
+
+
+def test_dispatch_finds_a_rebound_command(monkeypatch):
+    _build_parser()
+    calls = []
+
+    def fake(args):
+        calls.append(args)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_critpts", fake)
+    assert main(["critpts", "--zeros", "[0.6]", "--m", "1"]) == 7
+    assert [(a.command, a.zeros, a.m) for a in calls] == [
+        ("critpts", "[0.6]", 1)]
+
+
+def test_import_leaves_the_parser_unbuilt():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import blaschkediv.cli as c; "
+         "print(c._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
