@@ -5,10 +5,14 @@ A product here is ``B(z) = z^m * prod_k c_k (z - a_k)/(1 - conj(a_k) z)``
 with ``c_k = (1 - conj(a_k))/(1 - a_k)``, so that ``B(0) = 0`` with local
 degree at least ``m`` and ``B(1) = 1``.  The free zeros ``a_k`` form an
 interior divisor of degree ``e``; the forward map sends it to the degree-e
-divisor of free critical points.  The inverse solves for the coefficients
-of the zero polynomial by Newton's method on the conditions that the
-critical numerator vanish at the prescribed points (with multiplicity),
-continued along the scaled target and checked by one forward map.
+divisor of free critical points.  The inverse solves for the zeros
+themselves by Newton's method on the conditions that the partial-fraction
+form of ``B'/B`` vanish at the prescribed points (with multiplicity),
+continued along the scaled target and checked by one forward map; its
+``newton_tol`` bounds each condition's residual relative to the sum of
+the moduli of its terms.  A multiple zero, whose critical atom the
+conditions cannot see, is fixed exactly once the tracked zeros collapse
+onto it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ _EIGEN_MAX = 6
 #: up to e = 24) and the relative step that counts as converged.
 _ABERTH_STEPS = 30
 _ABERTH_TOL = 1e-15
+#: Newton iterations allowed per continuation step of the inverse, and
+#: the continuation step below which the inverse counts as stalled.
+_NEWTON_STEPS = 12
+_MIN_STEP = 1e-6
 
 __all__ = [
     "BlaschkeProduct",
@@ -161,25 +169,6 @@ def _critical_numerator(p: np.ndarray, m: int) -> np.ndarray:
     return np.convolve(m * p + n * p, q) - np.convolve(p, n * q)
 
 
-def _numerator_partials(p: np.ndarray,
-                        m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Wirtinger derivatives of ``_critical_numerator(p, m)`` in the low
-    coefficients ``s_k = p[k]`` of the monic ``p``: column ``k`` of the
-    first matrix holds the coefficients of ``dM/ds_k = z^k[(m+k)Q - zQ']``,
-    of the second those of ``dM/dconj(s_k) = z^(e-k)[mP + zP' - (e-k)P]``."""
-    e = len(p) - 1
-    q = np.conj(p[::-1])
-    n = np.arange(2 * e + 1)[:, None]
-    k = np.arange(e)[None, :]
-    i = n - k
-    ds = np.where((i >= 0) & (i <= e),
-                  (m + 2 * k - n) * q[np.clip(i, 0, e)], 0)
-    i = n - e + k
-    dsbar = np.where((i >= 0) & (i <= e),
-                     (m + n - 2 * e + 2 * k) * p[np.clip(i, 0, e)], 0)
-    return ds, dsbar
-
-
 def from_zero_divisor(Z: Divisor, m: int) -> BlaschkeProduct:
     """Construct the unique normalized product with free zero divisor
     ``Z`` and forced local degree ``m`` at the origin."""
@@ -297,99 +286,194 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     return RamificationResult(Divisor(atoms, REGION_INTERIOR), e - mu0)
 
 
+def _inverse_terms(a: np.ndarray, z: np.ndarray, p: Optional[np.ndarray],
+                   fact: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Terms ``(-1)^i i! a/(z-a)^(i+1)``, ``i! conj(a)^i/(1-conj(a)z)^(i+1)``
+    of ``f^(i)(z)`` at rows ``(z, i = p, fact = i!)`` (``p`` None if all
+    are 0) and zero columns ``a``, and their derivatives in ``a`` and
+    ``conj(a)``: the ``i``-th z-derivatives of ``z/(z-a)^2``, ``z/(1-conj(a)z)^2``."""
+    ac = a.conjugate()
+    u, v = 1.0 / (z - a), 1.0 / (1.0 - ac * z)
+    if p is None:
+        return a * u, v, z * u * u, z * v * v
+    up = np.where(p % 2, -fact, fact) * u ** (p + 1)
+    vp, acp = fact * v ** (p + 1), ac ** p
+    return (a * up, acp * vp, up * ((p + 1) * z * u - p),
+            vp * ((p + 1) * z * acp * v + p * ac ** np.maximum(p - 1, 0)))
+
+
+def _rows(atoms: list[tuple[complex, int]], m: int) -> tuple:
+    """Points and orders (columns; orders None if all are 0), order
+    factorials and ``m[i=0]`` of the conditions ``f^(i)(c) = 0``,
+    ``i < k``, at the atoms ``k*c``."""
+    order = np.array([i for _, k in atoms for i in range(k)])
+    z = np.array([c for c, k in atoms for _ in range(k)], dtype=complex)
+    fact = np.array([math.factorial(i) for i in order], dtype=float)
+    return (z[:, None], order[:, None] if order.any() else None,
+            fact[:, None], np.where(order == 0, float(m), 0.0))
+
+
+def _inverse_newton(a: np.ndarray, z: np.ndarray, p: Optional[np.ndarray],
+                    fact: np.ndarray, base: np.ndarray, base_scale: np.ndarray,
+                    tol: float) -> Optional[np.ndarray]:
+    """Newton's method (least squares if rows outnumber zeros) in the free
+    zeros ``a`` on ``f^(p)(z) = 0``, ``base`` being the part of ``f`` no
+    free zero carries.  Returns ``a`` once each ``|f^(p)(z)|`` is at most
+    ``tol`` times ``base_scale`` plus the moduli of its terms, ``None`` if
+    a step after the first fails to lower that ratio."""
+    n, e = len(z), len(a)
+    # rows 2k, 2k+1: images of the real and imaginary directions of a_k
+    cols = np.empty((2 * e, n), dtype=complex)
+    last = math.inf
+    with np.errstate(all="ignore"):
+        for step in range(_NEWTON_STEPS):
+            t1, t2, da, dac = _inverse_terms(a, z, p, fact)
+            f = base + (t1 + t2).sum(axis=1)
+            scale = base_scale + (abs(t1) + abs(t2)).sum(axis=1)
+            err = float((abs(f) / scale).max())
+            if err <= tol:
+                return a
+            if e == 0 or not err < last:
+                return None
+            last = err if step else math.inf
+            np.add(da.T, dac.T, out=cols[0::2])
+            np.multiply(1j, da.T - dac.T, out=cols[1::2])
+            jac, rhs = cols.view(float).T, -f.view(float)
+            try:
+                a = a + (np.linalg.solve(jac, rhs) if n == e else
+                         np.linalg.lstsq(jac, rhs, rcond=None)[0]).view(complex)
+            except np.linalg.LinAlgError:
+                return None
+    return None
+
+
+def _continue_zeros(atoms: list[tuple[complex, int]], m: int, tol: float,
+                    turn: float) -> tuple[np.ndarray, float, bool]:
+    """Track the zeros for atoms ``k_j*c_j`` at ``t exp(i turn theta_j
+    t(1-t)) c_j``, ``t`` from 0 to 1, starting from the roots of the exact
+    small-``t`` zero polynomial ``z^e + sum_k (m+e)c_k/(m+k) z^k`` (``c``
+    of the monic polynomial with those roots), then by secant.  A step
+    doubles on acceptance (Newton converged inside the disk); on rejection
+    the step just tried is halved.  Returns the zeros, the last ``t`` and
+    whether it is 1 (else the step fell below ``_MIN_STEP``)."""
+    z, p, fact, base = _rows(atoms, m)
+    e = len(z)
+    j = np.array([i for i, (_, k) in enumerate(atoms) for _ in range(k)])
+    theta = 1j * turn * (2.0 * (0.6180339887498949 * j[:, None] % 1.0) - 1.0)
+    comp = np.eye(e, k=-1, dtype=complex)
+    a_prev = a = np.zeros(e, dtype=complex)
+    t_prev = t = 0.0
+    dt = 1.0
+    while t < 1.0:
+        t_next = min(1.0, t + dt)
+        zt = t_next * z * np.exp(theta * (t_next * (1.0 - t_next)))
+        if t == 0.0:    # companion matrix of the small-t polynomial
+            k = np.arange(e - 1, -1, -1)
+            comp[0] = -(m + e) / (m + k) * np.poly(zt[:, 0])[1:]
+            guess = np.linalg.eigvals(comp)
+        else:
+            guess = a + (t_next - t) / (t - t_prev) * (a - a_prev)
+        a_next = _inverse_newton(guess, zt, p, fact, base, base, tol)
+        if a_next is not None and (abs(a_next) < 1.0).all():
+            a_prev, t_prev, a, t = a, t, a_next, t_next
+            dt *= 2.0
+            continue
+        dt = 0.5 * (t_next - t)
+        if dt < _MIN_STEP:
+            return a, t, False
+    return a, t, True
+
+
+def _solve_collapsed(atoms: list[tuple[complex, int]], m: int, tol: float,
+                     a: np.ndarray, t: float) -> Optional[list]:
+    """Zero atoms when the zeros ``a`` stalled at ``t`` collapse onto
+    atoms: by the spread of their ``k+1`` zeros nearest ``t*c``, the
+    tightest atom ``k*c``, then the next too, and so on, becomes a fixed
+    zero atom ``(k+1)*c`` while the other zeros are re-solved at ``t = 1``
+    by least squares.  Returns the first solution, or ``None``."""
+    ranked = []
+    for c, k in atoms:
+        if k < len(a):
+            near = abs(a - t * c).argsort()[:k + 1]
+            ranked.append((abs(a[near[-1]] - t * c), c, k, near))
+    free, fixed = np.ones(len(a), dtype=bool), {}
+    for _, c, k, near in sorted(ranked, key=lambda item: item[0]):
+        if not free[near].all():
+            continue
+        free[near], fixed[c] = False, k + 1
+        z, p, fact, order0 = _rows([(x, i) for x, i in atoms
+                                    if x not in fixed], m)
+        t1, t2, _, _ = _inverse_terms(np.array(list(fixed)), z, p, fact)
+        mu = np.array(list(fixed.values()), dtype=float)
+        solved = _inverse_newton(a[free], z, p, fact, order0 + (t1 + t2) @ mu,
+                                 order0 + (abs(t1) + abs(t2)) @ mu, tol)
+        if solved is not None and (abs(solved) < 1.0).all():
+            return list(fixed.items()) + [(complex(x), 1) for x in solved]
+    return None
+
+
 def zeros_from_critical(R: Divisor, m: int,
                         newton_tol: float = 1e-12) -> BlaschkeProduct:
     """Invert the divisor map: find ``B`` whose free critical divisor
     is ``R`` (degree ``e >= 1``, interior).
 
-    The unknowns are the low coefficients ``s`` of the monic zero
-    polynomial ``P = z^e + sum_k s_k z^k``.  With ``Q = rev(conj P)``,
-    the free critical points are the interior roots of
-    ``M = (mP + zP')Q - zPQ'``, so Newton's method solves the Hermite
-    conditions ``M^(i)(t*r) = 0`` for each atom ``r`` of ``R`` and each
-    ``i < mult(r)``, on the 2e x 2e real system given by the closed-form
-    Wirtinger derivatives of ``M`` (``_numerator_partials``); no roots
-    are found inside the solve.  ``newton_tol`` bounds the largest
-    ``|M^(i)(t*r)|`` at every accepted step, whose zeros must also lie
-    strictly inside the disk.
+    Off the zeros ``a_k``, the free critical points are the roots of
+    ``f(z) = m + sum_k [a_k/(z-a_k) + 1/(1-conj(a_k)z)]`` (``_aberth``'s
+    ``m + z sum_k w_k/g_k``), so Newton's method in the zeros solves
+    ``f^(i)(t*r) = 0`` for each atom ``r`` of ``R`` and ``i < mult(r)``
+    with closed-form Wirtinger derivatives; no roots are found inside the
+    solve.  ``newton_tol`` bounds each ``|f^(i)(t*r)|`` relative to
+    ``m[i=0]`` plus the moduli of its terms.  If the path ``t*R`` stalls,
+    a second path also turns the atoms: ``t*R`` keeps any mirror symmetry
+    of ``R`` and can meet a double zero, where two zeros branch (the
+    turned path goes first for an ``R`` symmetric under conjugation).
 
-    The target is continued along ``t*R``: the first step starts from
-    the exact small-``t`` solution ``s_k = (m+e)c_k/(m+k)`` (``c`` the
-    low coefficients of the monic polynomial with roots ``t*R``), later
-    ones from secant extrapolation.  The step starts as the whole path,
-    halves on rejection down to 1e-6 and doubles on acceptance.  One
-    forward map checks the result.
+    ``F = f prod_k g_k`` vanishes neither at 0 nor at a nonzero zero, so
+    an atom ``k*0`` is ``k`` zeros at 0 and an atom ``k*c``, ``c != 0``,
+    a ``k``-fold root of ``f`` or a ``(k+1)``-fold zero; the latter stalls
+    the path near ``t = 1`` with ``k+1`` zeros collapsing onto ``t*c``
+    and is then fixed.  As the critical divisor determines the product,
+    one forward map checks the result.
 
     Raises
     ------
+    PreconditionError
+        If ``e < 1``, ``m`` is not a positive integer, or ``newton_tol``
+        is not finite and positive.
     ContinuationError
-        On step underflow; carries the last parameter value that still
-        converged.
+        If both paths stall with no collapsed atom; carries the last
+        parameter value that still converged.
     NumericalError
         If the forward map of the result misses ``R`` by more than 1e-7.
     """
     e = R.degree
     if e < 1:
         raise PreconditionError("zeros_from_critical needs degree >= 1")
-    R = Divisor(R.atoms, REGION_INTERIOR)
-    r = np.array([z for z, mu in R.atoms for _ in range(mu)], dtype=complex)
-    order = np.array([i for _, mu in R.atoms for i in range(mu)])
-    # condition j reads M^(order_j)(t r_j) from the coefficients of M:
-    # row j is n!/(n - order_j)! (t r_j)^(n - order_j), zero for n < order_j
-    n = np.arange(2 * e + 1)
-    falling = np.ones((e, 2 * e + 1))
-    for i in range(int(order.max())):
-        falling *= np.where(order[:, None] > i, n - i, 1)
-    power = np.maximum(n - order[:, None], 0)
-
-    def newton(s: np.ndarray, t: float) -> Optional[np.ndarray]:
-        conditions = falling * (t * r[:, None]) ** power
-        last = math.inf
-        for _ in range(12):
-            p = np.append(s, 1.0)
-            f = conditions @ _critical_numerator(p, m)
-            err = float(np.max(np.abs(f)))
-            if err < newton_tol:
-                return s
-            if err >= last:
-                return None
-            last = err
-            ds, dsbar = _numerator_partials(p, m)
-            a, c = conditions @ ds, conditions @ dsbar
-            jac = np.block([[(a + c).real, (c - a).imag],
-                            [(a + c).imag, (a - c).real]])
-            try:
-                delta = np.linalg.solve(jac, -np.concatenate((f.real, f.imag)))
-            except np.linalg.LinAlgError:
-                return None
-            s = s + delta[:e] + 1j * delta[e:]
-        return None
-
-    s_prev = s = np.zeros(e, dtype=complex)
-    t_prev = t = 0.0
-    dt = 1.0
-    while t < 1.0:
-        t_next = min(1.0, t + dt)
-        if t == 0.0:
-            guess = (m + e) / (m + np.arange(e)) * npoly.polyfromroots(
-                t_next * r)[:e]
-        else:
-            guess = s + (t_next - t) / (t - t_prev) * (s - s_prev)
-        s_next = newton(guess, t_next)
-        if s_next is not None:
-            roots = npoly.polyroots(np.append(s_next, 1.0))
-            if np.all(np.abs(roots) < 1.0):
-                s_prev, t_prev, s, t = s, t, s_next, t_next
-                dt *= 2.0
-                continue
-        dt *= 0.5
-        if dt < 1e-6:
-            raise ContinuationError(
-                f"continuation stalled at t = {t:.6g}", t)
-
-    roots = _polish_roots(np.append(s, 1.0), roots)
-    B = BlaschkeProduct(
-        Divisor([(complex(z), 1) for z in roots], REGION_INTERIOR), m)
+    if not isinstance(m, int) or m < 1:
+        raise PreconditionError("m must be a positive integer")
+    if not (math.isfinite(newton_tol) and newton_tol > 0):
+        raise PreconditionError("newton_tol must be finite and positive")
+    if R.region != REGION_INTERIOR:
+        R = Divisor(R.atoms, REGION_INTERIOR)
+    atoms = [(c, k) for c, k in R.atoms if c != 0]
+    mu0 = e - sum(k for _, k in atoms)
+    solved, reached = None if atoms else [], 0.0
+    # t*R keeps the conjugation symmetry of a real or conjugate-paired R
+    # and tends to meet a double zero; such an R turns on its first path
+    c = np.array([x for x, _ in atoms])
+    mirrored = len(c) and abs(c.conjugate()[:, None] - c).min(0).max() < 1e-9
+    for turn in (1.0, 0.0) if mirrored else (0.0, 1.0):
+        if solved is not None:
+            break
+        a, t, done = _continue_zeros(atoms, m + mu0, newton_tol, turn)
+        solved = ([(complex(x), 1) for x in a] if done else
+                  _solve_collapsed(atoms, m + mu0, newton_tol, a, t))
+        reached = max(reached, t)
+    if solved is None:
+        raise ContinuationError(
+            f"continuation stalled at t = {reached:.6g}", reached)
+    B = BlaschkeProduct(Divisor(solved + [(0j, mu0)] * (mu0 > 0),
+                                REGION_INTERIOR), m)
     check = matching_distance(critical_divisor(B).free_ram, R)
     if check > 1e-7:
         raise NumericalError(

@@ -307,6 +307,15 @@ def _exact_power_relation(l_deg: int, angles: list[Fraction],
     return DynrelResult("exact", depth=depth, tol=tol)
 
 
+def _check_sweep(depth: int, tol: float) -> None:
+    """Reject an orbit depth below 1 and a tolerance that is not finite
+    and positive, on which a sweep would answer without searching."""
+    if not isinstance(depth, int) or depth < 1:
+        raise PreconditionError("depth must be a positive integer")
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError("tol must be finite and positive")
+
+
 def has_dynamical_relation(D: BoundaryDivisor, depth: int = DEFAULT_DEPTH,
                            tol: float = DEFAULT_TOL) -> DynrelResult:
     """Search for distinct support points ``q, q'`` with ``B^l(q) = q'``.
@@ -321,8 +330,10 @@ def has_dynamical_relation(D: BoundaryDivisor, depth: int = DEFAULT_DEPTH,
     ------
     PreconditionError
         For a singular divisor (``l < 2``): relations are defined on the
-        regular stratum.
+        regular stratum; for ``depth < 1``, or a ``tol`` that is not
+        finite and positive.
     """
+    _check_sweep(depth, tol)
     if D.l < 2:
         raise PreconditionError(
             "dynamical relations are defined for regular divisors (l >= 2)")
@@ -376,7 +387,14 @@ def in_E_zeta(D: BoundaryDivisor, zeta: complex, q: complex,
     of ``q`` hitting the support, which is what gets checked, up to
     ``depth`` iterations at tolerance ``tol``.  For the power maps with
     rational angles (and rational ``zeta`` angle) absence is exact.
+
+    Raises
+    ------
+    PreconditionError
+        For a ``zeta`` off the circle, a ``q`` off the circle, ``depth <
+        1``, or a ``tol`` that is not finite and positive.
     """
+    _check_sweep(depth, tol)
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise PreconditionError("zeta must be unimodular")
@@ -461,8 +479,7 @@ def classify(D: BoundaryDivisor, depth: int = DEFAULT_DEPTH,
     circle part is simple and avoids 1, and there the extension is the
     constant symbolic map ``z + z^d``.
     """
-    if not isinstance(depth, int) or depth < 1:
-        raise PreconditionError("depth must be a positive integer")
+    _check_sweep(depth, tol)
     S = D.circle_part
     if S.degree < 1:
         raise PreconditionError("classification needs a nonempty circle part")

@@ -398,7 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ramification divisor (inline JSON or path)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12,
-                   help="residual each Newton solve must reach")
+                   help="largest residual of each critical-point condition "
+                        "relative to the sum of the moduli of its terms "
+                        "that each Newton solve must reach; finite and > 0")
 
     p = sub.add_parser("extend", parents=[figure],
                        help="boundary extension of the critical-divisor map")

@@ -9,6 +9,7 @@ import cmath
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -21,7 +22,7 @@ from blaschkediv import (BlaschkeProduct, Divisor, NumericalError,
                          multiplier_at_zero, phi_1m_closed_form, walsh_check,
                          zeros_from_critical)
 from blaschkediv import blaschke
-from blaschkediv.blaschke import _critical_numerator, _numerator_partials
+from blaschkediv.blaschke import _inverse_terms, _rows
 
 
 def interior_divisor(points) -> Divisor:
@@ -202,24 +203,67 @@ def test_round_trip_zeros_to_critical_and_back():
         assert matching_distance(Z_back, Z) <= 1e-8
 
 
-def test_numerator_partials_match_central_difference():
+def inverse_rows(a, atoms, fixed, m):
+    """Residuals ``f^(i)(c)`` of the Hermite conditions of ``atoms`` for
+    the free zeros ``a`` and the fixed zero atoms ``fixed``, with their
+    Wirtinger derivatives in ``a``, as the inverse's Newton builds them."""
+    z, p, fact, order0 = _rows(atoms, m)
+    base = order0.astype(complex)
+    for c, mu in fixed:
+        t1, t2, _, _ = _inverse_terms(np.array([c]), z, p, fact)
+        base = base + mu * (t1 + t2)[:, 0]
+    t1, t2, da, dac = _inverse_terms(a, z, p, fact)
+    return base + (t1 + t2).sum(axis=1), da, dac
+
+
+def test_inverse_conditions_match_the_critical_numerator():
+    # order-0 rows are m + z sum_k mu_k w_k/g_k, the function whose roots
+    # _aberth finds; order-i rows are its z-derivatives by central
+    # differences
     rng = np.random.default_rng(306)
+    h = 1e-4
+    for m in (1, 2, 3):
+        a = 0.7 * (rng.random(4) - 0.5 + 1j * (rng.random(4) - 0.5))
+        fixed = [(complex(0.5 * rng.random() + 0.2j), 2)]
+        c = complex(0.3 * rng.random() - 0.4j)
+        zeros = [(x, 1) for x in a] + [(fixed[0][0], 2)]
+
+        def f(z):
+            return m + z * sum(mu * (1 - abs(x) ** 2)
+                               / ((z - x) * (1 - x.conjugate() * z))
+                               for x, mu in zeros)
+
+        rows, _, _ = inverse_rows(a, [(c, 3)], fixed, m)
+        assert abs(rows[0] - f(c)) <= 1e-13 * abs(f(c)) + 1e-13
+        d1 = (f(c + h) - f(c - h)) / (2 * h)
+        d2 = (f(c + h) - 2 * f(c) + f(c - h)) / h ** 2
+        assert abs(rows[1] - d1) <= 1e-6 * max(1.0, abs(d1))
+        assert abs(rows[2] - d2) <= 1e-4 * max(1.0, abs(d2))
+
+
+@pytest.mark.parametrize("atoms", [
+    [(0.2 - 0.3j, 3), (-0.4 + 0.1j, 1)],     # Hermite orders 0-2
+    [(0.2 - 0.3j, 1), (-0.4 + 0.1j, 1)],     # all of order 0
+])
+def test_inverse_wirtinger_blocks_match_central_difference(atoms):
+    # with one fixed zero atom of multiplicity 2 that carries no unknowns
+    rng = np.random.default_rng(307)
     h = 1e-6
-    for e in range(1, 7):
-        for m in range(1, 4):
-            p = np.append(rng.normal(size=e) + 1j * rng.normal(size=e), 1.0)
-            ds, dsbar = _numerator_partials(p, m)
-            for k in range(e):
-                # real and imaginary directions of s_k
-                for u, want in ((1.0, ds[:, k] + dsbar[:, k]),
-                                (1j, 1j * (ds[:, k] - dsbar[:, k]))):
-                    up, down = p.copy(), p.copy()
-                    up[k] += h * u
-                    down[k] -= h * u
-                    fd = (_critical_numerator(up, m)
-                          - _critical_numerator(down, m)) / (2.0 * h)
-                    scale = max(1.0, float(np.max(np.abs(want))))
-                    assert np.max(np.abs(fd - want)) <= 1e-6 * scale
+    for m in (1, 2, 3):
+        a = 0.8 * (rng.random(4) - 0.5 + 1j * (rng.random(4) - 0.5))
+        fixed = [(complex(0.1 + 0.5j), 2)]
+        _, da, dac = inverse_rows(a, atoms, fixed, m)
+        for k in range(len(a)):
+            # real and imaginary directions of a_k
+            for u, want in ((1.0, da[:, k] + dac[:, k]),
+                            (1j, 1j * (da[:, k] - dac[:, k]))):
+                up, down = a.copy(), a.copy()
+                up[k] += h * u
+                down[k] -= h * u
+                fd = (inverse_rows(up, atoms, fixed, m)[0]
+                      - inverse_rows(down, atoms, fixed, m)[0]) / (2.0 * h)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(fd - want)) <= 1e-6 * scale
 
 
 def test_zeros_from_critical_multiple_atom():
@@ -239,6 +283,71 @@ def test_zeros_from_critical_high_degree(e):
     B = zeros_from_critical(R, m)
     assert matching_distance(critical_divisor(B).free_ram, R) <= 1e-8
     assert matching_distance(B.free_zeros, Z) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("double, simple", [(0.3 + 0.1j, -0.5j),
+                                            (0.2 + 0.1j, -0.3 + 0j)])
+def test_zeros_from_critical_returns_a_double_zero_as_one_atom(double, simple,
+                                                               m):
+    # the double zero's critical atom 1*double stalls the path with two
+    # zeros collapsing onto it; the zero atom is then fixed exactly
+    Z = Divisor([(double, 2), (simple, 1)], "interior")
+    R = critical_divisor(from_zero_divisor(Z, m)).free_ram
+    atoms = zeros_from_critical(R, m).free_zeros.atoms
+    assert [mu for _, mu in atoms if mu > 1] == [2]
+    ((c, _),) = [(c, mu) for c, mu in atoms if mu == 2]
+    assert abs(c - double) <= 1e-12
+    assert matching_distance(Divisor(atoms, "interior"), Z) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_zeros_from_critical_triple_zero_round_trip(m):
+    Z = Divisor([(0.5 + 0j, 3)], "interior")
+    R = critical_divisor(from_zero_divisor(Z, m)).free_ram
+    B = zeros_from_critical(R, m)
+    assert matching_distance(critical_divisor(B).free_ram, R) <= 1e-8
+    assert B.free_zeros.atoms == ((0.5 + 0j, 3),)
+
+
+@pytest.mark.parametrize("zeros, m", [([0.5, 0.75], 1),
+                                      ([-0.5, -0.1, 0.6, 0.7], 1),
+                                      ([-0.8, -0.6, -0.4, -0.3], 3)])
+def test_zeros_from_critical_real_zeros(zeros, m):
+    # real critical points keep the path t*R real, where two tracked
+    # zeros meet at a double zero and branch into a conjugate pair
+    Z = interior_divisor(zeros)
+    R = critical_divisor(from_zero_divisor(Z, m)).free_ram
+    assert matching_distance(zeros_from_critical(R, m).free_zeros, Z) <= 1e-8
+
+
+def random11_draws():
+    """Zero divisors and ``m`` of ``random.Random(11)``: e = randint(8, 16),
+    m = randint(1, 3), each zero at radius 0.97 sqrt(U) and angle 2 pi U."""
+    rng = random.Random(11)
+    while True:
+        e, m = rng.randint(8, 16), rng.randint(1, 3)
+        yield Divisor([(0.97 * math.sqrt(rng.random())
+                        * cmath.exp(2j * math.pi * rng.random()), 1)
+                       for _ in range(e)], "interior"), m
+
+
+#: ``random11_draws`` on which Newton in the coefficients of the zero
+#: polynomial stalled at t = 0.89-0.998: the expanded critical numerator
+#: had a rounding floor above the absolute stop.
+RANDOM11_COEFFICIENT_STALLS = (6, 37, 58, 70, 92, 107, 156, 242, 271, 282,
+                               290, 294)
+
+
+def test_zeros_from_critical_random11_coefficient_stalls():
+    draws = random11_draws()
+    for i in range(max(RANDOM11_COEFFICIENT_STALLS) + 1):
+        Z, m = next(draws)
+        if i not in RANDOM11_COEFFICIENT_STALLS:
+            continue
+        R = critical_divisor(from_zero_divisor(Z, m)).free_ram
+        B = zeros_from_critical(R, m)
+        assert matching_distance(critical_divisor(B).free_ram, R) <= 1e-8, i
 
 
 #: Draw 6794 of e = 23 zeros inside radius 0.9 (m = 3): the roots of the

@@ -359,6 +359,27 @@ def test_classify_rejects_nonpositive_depth(depth):
         classify(D, depth=depth)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_sweeps_reject_invalid_tolerance(tol):
+    D = make_boundary([0.3 + 0.2j], 1, [(0.123, 1), (0.456, 1)])
+    for check in (lambda: classify(D, tol=tol),
+                  lambda: has_dynamical_relation(D, tol=tol),
+                  lambda: in_E_zeta(D, 1.0 + 0j, turn(0.777), tol=tol)):
+        with pytest.raises(PreconditionError, match="tol must be finite"):
+            check()
+
+
+@pytest.mark.parametrize("depth", [0, -5])
+def test_sweeps_reject_nonpositive_depth(depth):
+    # with free zeros a depth below 1 would search nothing and still
+    # answer none_within_depth / not_within_depth
+    D = make_boundary([0.3 + 0.2j], 1, [(0.123, 1), (0.456, 1)])
+    with pytest.raises(PreconditionError, match="depth must be a positive"):
+        has_dynamical_relation(D, depth=depth)
+    with pytest.raises(PreconditionError, match="depth must be a positive"):
+        in_E_zeta(D, 1.0 + 0j, turn(0.777), depth=depth)
+
+
 def test_boundary_json_round_trip():
     D = make_boundary([0.3 + 0.2j], 2, [(0.25, 1), (0.5, 2)])
     payload = boundary_to_json(D)

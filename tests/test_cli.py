@@ -536,6 +536,20 @@ def test_exit_precondition_out_of_range_argument(argv, message, capsys):
     assert diagnostic == {"error": "PreconditionError", "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["invert", "--ram", "[0.3]", "--m", "1", "--tol", tol],
+     "newton_tol must be finite and positive") for tol in ("0", "-1", "nan")
+] + [
+    (["classify", "--divisor", ORBIT_DIVISOR, "--tol", tol],
+     "tol must be finite and positive") for tol in ("0", "nan", "inf")
+])
+def test_exit_precondition_invalid_tolerance(argv, message, capsys):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "PreconditionError",
+                               "message": message}
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--divisor", ORBIT_DIVISOR, "--svg", "f.svg"],
     ["render", "--input", '{"foo": 1}', "--svg", "f.svg"],
