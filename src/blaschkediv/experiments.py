@@ -218,6 +218,16 @@ def _critical_point_near(B: BlaschkeProduct, q: complex) -> complex:
     return dists[0][1]
 
 
+def _orbit_near(B: BlaschkeProduct, q: complex,
+                l: int) -> tuple[complex, complex]:
+    """The critical point ``c`` of ``B`` near ``q`` (guarded as in
+    ``_critical_point_near``) and its image ``B^l(c)``."""
+    c = w = _critical_point_near(B, q)
+    for _ in range(l):
+        w = B.eval(w)
+    return c, w
+
+
 def _check_orbit_preconditions(D: BoundaryDivisor, q: complex, l: int,
                                tol: float = 1e-9) -> complex:
     """Check that ``S`` is simple, misses 1 and holds ``q``, and that no
@@ -265,11 +275,7 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
     for n in n_schedule:
         if n < 2:
             raise PreconditionError("schedule entries must be at least 2")
-        B_n = from_zero_divisor(_radial_approach(D, n), m)
-        c = _critical_point_near(B_n, q)
-        w = c
-        for _ in range(l):
-            w = B_n.eval(w)
+        c, w = _orbit_near(from_zero_divisor(_radial_approach(D, n), m), q, l)
         rows.append({
             "n": int(n),
             "critical_point": [c.real, c.imag],
@@ -461,13 +467,8 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
         if not inside(zeta):
             return None
         try:
-            Bh = from_zero_divisor(
-                Divisor(base_atoms + [(zeta, 1)], REGION_INTERIOR), m)
-            c = _critical_point_near(Bh, q)
-            w = c
-            for _ in range(l):
-                w = Bh.eval(w)
-            return c, w
+            return _orbit_near(from_zero_divisor(
+                Divisor(base_atoms + [(zeta, 1)], REGION_INTERIOR), m), q, l)
         except (PreconditionError, NumericalError):
             return None
 

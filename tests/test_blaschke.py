@@ -16,11 +16,11 @@ import sys
 import numpy as np
 import pytest
 
-from blaschkediv import (BlaschkeProduct, Divisor, NumericalError,
-                         PreconditionError, boundary_orbit, critical_divisor,
-                         from_zero_divisor, hull_contains, matching_distance,
-                         multiplier_at_zero, phi_1m_closed_form, walsh_check,
-                         zeros_from_critical)
+from blaschkediv import (BlaschkeProduct, ContinuationError, Divisor,
+                         NumericalError, PreconditionError, boundary_orbit,
+                         critical_divisor, from_zero_divisor, hull_contains,
+                         matching_distance, multiplier_at_zero,
+                         phi_1m_closed_form, walsh_check, zeros_from_critical)
 from blaschkediv import blaschke
 from blaschkediv.blaschke import _inverse_terms, _rows
 
@@ -310,15 +310,43 @@ def test_zeros_from_critical_triple_zero_round_trip(m):
     assert B.free_zeros.atoms == ((0.5 + 0j, 3),)
 
 
+def rotated(points, angle: float = 0.7) -> list[complex]:
+    """``points`` turned by ``exp(i angle)``: their critical points are
+    symmetric under ``z -> exp(2i angle) conj(z)``, not under
+    conjugation."""
+    return [complex(z) * cmath.exp(1j * angle) for z in points]
+
+
 @pytest.mark.parametrize("zeros, m", [([0.5, 0.75], 1),
                                       ([-0.5, -0.1, 0.6, 0.7], 1),
-                                      ([-0.8, -0.6, -0.4, -0.3], 3)])
+                                      ([-0.8, -0.6, -0.4, -0.3], 3),
+                                      (rotated([0.5, 0.75]), 1),
+                                      (rotated([-0.5, -0.1, 0.6, 0.7]), 1),
+                                      (rotated([-0.8, -0.6, -0.4, -0.3]), 3)])
 def test_zeros_from_critical_real_zeros(zeros, m):
     # real critical points keep the path t*R real, where two tracked
     # zeros meet at a double zero and branch into a conjugate pair
     Z = interior_divisor(zeros)
     R = critical_divisor(from_zero_divisor(Z, m)).free_ram
     assert matching_distance(zeros_from_critical(R, m).free_zeros, Z) <= 1e-8
+
+
+def test_zeros_from_critical_stall_carries_last_good_t(monkeypatch):
+    # Newton fails once an atom's point passes 0.6 of the largest modulus,
+    # so the path stalls just below t = 0.6, where no zeros collapse
+    R = Divisor([(0.5 + 0.2j, 1), (-0.3j, 1)], "interior")
+    newton = blaschke._inverse_newton
+    reach = 0.6 * max(abs(c) for c, _ in R.atoms)
+
+    def failing_beyond_reach(a, z, *rest):
+        return newton(a, z, *rest) if abs(z).max() <= reach else None
+
+    monkeypatch.setattr(blaschke, "_inverse_newton", failing_beyond_reach)
+    with pytest.raises(ContinuationError) as info:
+        zeros_from_critical(R, 1)
+    t = info.value.last_good_t
+    assert 0.5 <= t <= 0.6
+    assert str(info.value) == f"continuation stalled at t = {t:.6g}"
 
 
 def random11_draws():
@@ -417,6 +445,15 @@ def test_critical_divisor_multiple_zero_atoms_are_exact():
     (c,) = [z for z, _ in atoms if z not in (0j, 0.4 + 0.2j)]
     zeros = [0, 0, 0.4 + 0.2j, 0.4 + 0.2j]
     assert product_form_deriv(zeros, 1, [c])[0] <= 1e-12
+
+
+def test_critical_divisor_subnormal_zero_is_a_numerical_error():
+    # the eigen start divides by the numerator's subnormal leading
+    # coefficient and overflows; the failure is the package's error, not
+    # numpy's LinAlgError
+    B = from_zero_divisor(interior_divisor([2.2250738585e-313]), 1)
+    with pytest.raises(NumericalError):
+        critical_divisor(B)
 
 
 def test_critical_divisor_residual_count():

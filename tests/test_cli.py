@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from blaschkediv import cli
+from blaschkediv import blaschke, cli
 from blaschkediv.boundary import DEFAULT_DEPTH, DEFAULT_TOL
 from blaschkediv.cli import _build_parser, main
 
@@ -423,6 +423,23 @@ def test_exit_numerical(capsys):
         capsys, ["experiment", "prescribe", "--config", config])
     assert code == 3
     assert json.loads(err)["error"] == "NumericalError"
+
+
+def test_exit_numerical_subnormal_zero(capsys):
+    code, out, err = run_cli(
+        capsys, ["critpts", "--zeros", "[2.2250738585e-313]", "--m", "1"])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "NumericalError"
+
+
+def test_exit_numerical_continuation_stall(capsys, monkeypatch):
+    monkeypatch.setattr(blaschke, "_inverse_newton", lambda *args: None)
+    code, out, err = run_cli(
+        capsys, ["invert", "--ram", "[0.3333333333333333]", "--m", "1"])
+    assert code == 3 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "ContinuationError"
+    assert diagnostic["last_good_t"] == 0.0
 
 
 def test_exit_schema_unknown_divisor_key(capsys):
