@@ -33,6 +33,11 @@ POLE_TOL = 1e-14
 #: apart from the kernel that found it (a double critical point splits
 #: by about sqrt(eps) and never converges in step size, yet passes).
 CRIT_TOL = 1e-6
+#: Bound on ``|M|`` at a computed free critical point, relative to the
+#: sum of the moduli of the terms of the factored numerator ``M`` of
+#: ``B'``: 5.4e-14 at most on 2160 seeded draws up to e = 24, and 1 at a
+#: point that is no root, where ``|B'|`` alone can be tiny.
+_RESIDUAL_TOL = 1e-8
 #: Most distinct nonzero free zeros whose critical points are seeded
 #: from eigenvalues; the zero seeds are faster from 7 on (measured).
 _EIGEN_MAX = 6
@@ -64,6 +69,11 @@ __all__ = [
 class BlaschkeProduct:
     """A finite Blaschke product determined by its free zero divisor.
 
+    A product is a value: ``m``, ``free_zeros`` and ``normalization`` are
+    read-only (assigning one raises ``AttributeError``), and the first
+    successful ``critical_divisor`` call stores its result on the product
+    for the later calls to share.
+
     Parameters
     ----------
     free_zeros : Divisor
@@ -86,15 +96,29 @@ class BlaschkeProduct:
         if not isinstance(m, int) or m < 1:
             raise PreconditionError("m must be a positive integer")
         free_zeros = Divisor(free_zeros.atoms, REGION_INTERIOR)
-        self.m = m
-        self.free_zeros = free_zeros
+        self._m = m
+        self._free_zeros = free_zeros
         zeros = free_zeros.points()
         self._zeros = zeros
         # P(z) = prod (z - a_k), Q(z) = prod (1 - conj(a_k) z) = rev(conj(P))
         self._p = npoly.polyfromroots(zeros) if zeros else np.array([1.0 + 0j])
         self._q = np.conj(self._p)[::-1].copy()
         p1 = npoly.polyval(1.0, self._p)
-        self.normalization = complex(np.conj(p1) / p1)
+        self._normalization = complex(np.conj(p1) / p1)
+        # (free_ram, residual_count) once critical_divisor has succeeded
+        self._critical: Optional[tuple[Divisor, int]] = None
+
+    @property
+    def m(self) -> int:
+        return self._m
+
+    @property
+    def free_zeros(self) -> Divisor:
+        return self._free_zeros
+
+    @property
+    def normalization(self) -> complex:
+        return self._normalization
 
     @property
     def e(self) -> int:
@@ -131,7 +155,7 @@ class BlaschkeProduct:
         ``NumericalError`` near a pole, as ``eval`` does."""
         z = complex(z)
         self._check_pole(z)
-        return complex(_deriv(self, np.array([z]))[0])
+        return complex(_deriv(self, np.array([z]))[0][0])
 
     def __repr__(self) -> str:
         return (f"BlaschkeProduct(m={self.m}, "
@@ -189,11 +213,14 @@ def _polish_roots(coeffs: np.ndarray, roots: np.ndarray,
     return out
 
 
-def _deriv(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
+def _deriv(B: BlaschkeProduct,
+           z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``B'`` at the points ``z``: ``n z^(m-1) M/Q^2`` (``m z^(m-1)`` when
     ``e = 0``) with the factored numerator ``M = mPQ + z sum_k (1-|a_k|^2)
     prod_(j!=k) (z-a_j)(1-conj(a_j)z)``, which keeps the relative accuracy
-    that the expanded coefficients of ``M`` lose at high degree."""
+    that the expanded coefficients of ``M`` lose at high degree; also
+    ``|M|`` and the sum of the moduli of its terms, which ``|M|`` nearly
+    reaches at a point that is no root however small ``B'`` is there."""
     a = np.asarray(B._zeros)
     h = 1.0 - np.conj(a) * z[:, None]
     g = (z[:, None] - a) * h
@@ -201,8 +228,11 @@ def _deriv(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
     ones = np.ones((len(z), 1))
     others = (np.cumprod(np.hstack((ones, g)), axis=1)[:, :-1]
               * np.cumprod(np.hstack((ones, g[:, ::-1])), axis=1)[:, -2::-1])
-    mv = B.m * g.prod(axis=1) + z * (others @ (1.0 - abs(a) ** 2))
-    return B.normalization * z ** (B.m - 1) * mv / h.prod(axis=1) ** 2
+    w = 1.0 - abs(a) ** 2
+    mpq = B.m * g.prod(axis=1)
+    mv = mpq + z * (others @ w)
+    return (B.normalization * z ** (B.m - 1) * mv / h.prod(axis=1) ** 2,
+            abs(mv), abs(mpq) + abs(z) * (abs(others) @ w))
 
 
 def _aberth(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
@@ -216,7 +246,7 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
     the points and whether all steps fell below ``_ABERTH_TOL * |z|``."""
     ac, aa = a.conjugate(), abs(a) ** 2
     mw = mu * (1.0 - aa)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for _ in range(steps):
             zc, zb = z[:, None], z.conjugate()
             acz = ac * zc
@@ -234,27 +264,62 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
     return z, False
 
 
+def _zero_seeds(a: np.ndarray) -> np.ndarray:
+    """Aberth start ``0.9 a_k + 0.01 exp(2 pi i (k+1/4)/d)`` over the ``d``
+    distinct nonzero zeros ``a_k``."""
+    return 0.9 * a + 0.01 * np.exp(2j * np.pi * (np.arange(len(a)) + 0.25)
+                                   / len(a))
+
+
+def _checked(B: BlaschkeProduct,
+             z: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
+    """The points ``z`` with those outside the disk reflected (onto roots of
+    ``F`` too), and why they fail as free critical points of ``B``, or
+    ``None`` if they pass."""
+    z = np.divide(1.0, z.conjugate(), out=z, where=abs(z) > 1.0)
+    dv, m_abs, m_terms = _deriv(B, z)
+    worst = float(abs(dv).max())
+    # strict, so that a point where M and all its terms vanish fails too
+    if (worst <= CRIT_TOL and (m_abs < _RESIDUAL_TOL * m_terms).all()
+            and (abs(z) < 1.0).all()):
+        return z, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = float((m_abs / m_terms).max())
+    return z, (f"a computed critical point has |B'| = {worst:.3g}, relative "
+               f"residual {res:.3g}, or lies outside the disk")
+
+
 def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     """Free critical divisor of ``B`` (the forward divisor map).
 
     A zero atom ``mu*a`` gives ``(mu-1)*a`` exactly, ``mu*0`` gives
     ``mu*0``.  The rest are the interior roots of ``F`` (``_aberth``)
     over the ``d`` distinct nonzero zeros.  For ``d > _EIGEN_MAX`` the
-    kernel starts at ``0.9 a_k + 0.01 exp(2 pi i (k+1/4)/d)`` and runs to
-    convergence; otherwise, or if that fails, it takes one step from the
-    interior half of the roots of ``_critical_numerator`` (pairs ``z,
-    1/conj(z)`` and the zeros at 0) less the ``k`` nearest each exact atom
-    ``k*c``.  Points outside the disk are reflected, onto roots of ``F``
-    too; each must then pass ``|B'| <= CRIT_TOL`` by ``_deriv``.
+    kernel starts at ``_zero_seeds`` and runs to convergence; otherwise,
+    or if that fails, it takes one step from the interior half of the
+    roots of ``_critical_numerator`` (pairs ``z, 1/conj(z)`` and the
+    zeros at 0) less the ``k`` nearest each exact atom ``k*c``.  Points
+    outside the disk are reflected, onto roots of ``F`` too; each must
+    then pass ``|B'| <= CRIT_TOL`` and ``|M| < _RESIDUAL_TOL`` times the
+    sum of the moduli of the terms of the factored numerator ``M``, both
+    by ``_deriv``.  If the eigenvalue start fails that check (it can lose
+    a tiny zero's critical point next to larger zeros), the zero seeds
+    are run to convergence and checked instead.
+
+    The first successful call stores the result on ``B``; later calls on
+    the same product return a new ``RamificationResult`` over it without
+    solving again.  A failure is not stored, so it is raised again.
 
     Raises
     ------
     PreconditionError
         If ``e == 0`` (no free zeros, hence no free critical points).
     NumericalError
-        If a computed point has ``|B'| > CRIT_TOL`` or lies on or
-        outside the circle, or the eigenvalue start fails.
+        If the computed points fail the check above, or the eigenvalue
+        start fails.
     """
+    if B._critical is not None:
+        return RamificationResult(*B._critical)
     e = B.e
     if e < 1:
         raise PreconditionError("critical_divisor needs at least one free zero")
@@ -268,8 +333,7 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
         mu = np.array([k for _, k in nonzero])
         m, d, done = B.m + mu0, len(a), False
         if d > _EIGEN_MAX:
-            z = 0.9 * a + 0.01 * np.exp(2j * np.pi * (np.arange(d) + 0.25) / d)
-            z, done = _aberth(a, mu, m, z, _ABERTH_STEPS)
+            z, done = _aberth(a, mu, m, _zero_seeds(a), _ABERTH_STEPS)
         if not done:
             try:    # polyroots trims the exact zeros on top
                 with np.errstate(all="ignore"):
@@ -280,14 +344,15 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
             for c, k in atoms:
                 z = np.delete(z, abs(z - c).argsort()[:k])
             z, _ = _aberth(a, mu, m, z, 1)
-        z = np.divide(1.0, z.conjugate(), out=z, where=abs(z) > 1.0)
-        worst = float(abs(_deriv(B, z)).max())
-        if not (worst <= CRIT_TOL and (abs(z) < 1.0).all()):
-            raise NumericalError(
-                f"a computed critical point has |B'| = {worst:.3g} "
-                f"or lies outside the disk")
+        z, failure = _checked(B, z)
+        if failure and d <= _EIGEN_MAX:
+            z, failure = _checked(
+                B, _aberth(a, mu, m, _zero_seeds(a), _ABERTH_STEPS)[0])
+        if failure:
+            raise NumericalError(failure)
         atoms.extend((complex(c), 1) for c in z)
-    return RamificationResult(Divisor(atoms, REGION_INTERIOR), e - mu0)
+    B._critical = (Divisor(atoms, REGION_INTERIOR), e - mu0)
+    return RamificationResult(*B._critical)
 
 
 def _inverse_terms(a: np.ndarray, z: np.ndarray, p: Optional[np.ndarray],

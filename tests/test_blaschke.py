@@ -535,6 +535,83 @@ def test_critical_divisor_falls_back_to_eigen_seeds(monkeypatch):
         assert np.max(product_form_deriv(zeros, 2, pts)) <= 1e-9
 
 
+@pytest.mark.parametrize("tiny", [1e-60, 1e-100, 1e-300])
+def test_critical_divisor_keeps_a_tiny_zeros_critical_point(tiny):
+    # the eigen start returns both points at 0, where |B'| is about tiny
+    # but the factored numerator is not small; the zero seeds find the
+    # point near tiny/2 and, as a zero at 0 would, the m = 2 point of 0.5
+    B = from_zero_divisor(interior_divisor([tiny, 0.5]), 1)
+    (small, one), (big, other) = critical_divisor(B).free_ram.atoms
+    assert one == other == 1
+    assert abs(small - tiny / 2) <= 1e-9 * tiny
+    assert abs(big - phi_1m_closed_form(0.5, 2)) <= 1e-12
+
+
+@pytest.fixture
+def aberth_calls(monkeypatch) -> list:
+    """Record one entry per ``_aberth`` call."""
+    calls, aberth = [], blaschke._aberth
+
+    def counted(*args):
+        calls.append(args)
+        return aberth(*args)
+
+    monkeypatch.setattr(blaschke, "_aberth", counted)
+    return calls
+
+
+def test_critical_divisor_reuses_the_inverse_check(aberth_calls):
+    B = zeros_from_critical(interior_divisor([0.3, 0.2 + 0.4j]), 2)
+    aberth_calls.clear()
+    first, second = critical_divisor(B), critical_divisor(B)
+    assert walsh_check(B)
+    assert aberth_calls == []
+    assert first is not second and first.free_ram == second.free_ram
+    fresh = critical_divisor(BlaschkeProduct(B.free_zeros, B.m))
+    assert len(aberth_calls) == 1
+    assert first.free_ram.atoms == fresh.free_ram.atoms
+    assert first.residual_count == fresh.residual_count == 2
+
+
+def test_critical_divisor_result_is_a_copy():
+    B = from_zero_divisor(interior_divisor([0.6]), 1)
+    want = critical_divisor(B).free_ram
+    result = critical_divisor(B)
+    result.free_ram, result.residual_count = Divisor([], "interior"), 0
+    assert critical_divisor(B).free_ram == want
+    assert critical_divisor(B).residual_count == 1
+
+
+def test_critical_divisor_equal_products_each_solve_once(aberth_calls):
+    Z = interior_divisor([0.3, -0.5j, 0.1 + 0.6j])
+    first, second = from_zero_divisor(Z, 1), from_zero_divisor(Z, 1)
+    for B in (first, second, first, second):
+        critical_divisor(B)
+    assert len(aberth_calls) == 2
+
+
+def test_critical_divisor_failure_is_not_stored(aberth_calls, monkeypatch):
+    B = from_zero_divisor(interior_divisor([2.2250738585e-313]), 1)
+    for _ in range(2):
+        with pytest.raises(NumericalError):
+            critical_divisor(B)
+    monkeypatch.setattr(blaschke, "CRIT_TOL", -1.0)
+    B = from_zero_divisor(interior_divisor([0.3, 0.5j]), 1)
+    with pytest.raises(NumericalError):
+        critical_divisor(B)
+    solves = len(aberth_calls)    # the eigen step and the zero-seed retry
+    with pytest.raises(NumericalError):
+        critical_divisor(B)
+    assert solves == 2 and len(aberth_calls) == 2 * solves
+
+
+@pytest.mark.parametrize("name", ["m", "free_zeros", "normalization"])
+def test_product_attributes_are_read_only(name):
+    B = from_zero_divisor(interior_divisor([0.6]), 1)
+    with pytest.raises(AttributeError):
+        setattr(B, name, getattr(B, name))
+
+
 def _loaded_after_import(statement: str, modules: list[str]) -> list[bool]:
     """Run ``statement`` in a fresh interpreter and report which of
     ``modules`` it left in ``sys.modules``."""

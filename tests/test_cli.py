@@ -50,6 +50,16 @@ def test_critpts_stdout(capsys):
     assert atom["im"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_critpts_tiny_zero_keeps_its_critical_point(capsys):
+    code, out, err = run_cli(
+        capsys, ["critpts", "--zeros", "[1e-100, 0.5]", "--m", "1"])
+    assert code == 0 and err == ""
+    small, big = json.loads(out)["atoms"]
+    assert small["mult"] == big["mult"] == 1
+    assert small["re"] == pytest.approx(5e-101, rel=1e-9)
+    assert big["re"] == pytest.approx(0.3441311542550502, abs=1e-12)
+
+
 def test_critpts_files_and_deterministic_svg(tmp_path, capsys):
     out_path = tmp_path / "crit.json"
     svg_path = tmp_path / "crit.svg"
