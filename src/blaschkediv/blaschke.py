@@ -5,7 +5,10 @@ A product here is ``B(z) = z^m * prod_k c_k (z - a_k)/(1 - conj(a_k) z)``
 with ``c_k = (1 - conj(a_k))/(1 - a_k)``, so that ``B(0) = 0`` with local
 degree at least ``m`` and ``B(1) = 1``.  The free zeros ``a_k`` form an
 interior divisor of degree ``e``; the forward map sends it to the degree-e
-divisor of free critical points.  The inverse solves for the zeros
+divisor of free critical points, by one Aberth run on the factored
+numerator of ``B'`` from closed-form one-zero seeds.  Nothing here expands
+``B`` into polynomial coefficients; only the lamination's preimage solve
+does.  The inverse solves for the zeros
 themselves by Newton's method on the conditions that the partial-fraction
 form of ``B'/B`` vanish at the prescribed points (with multiplicity),
 continued along one slightly turned path to the target and checked by
@@ -21,7 +24,6 @@ import math
 from typing import Optional
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .divisor import (CIRCLE_TOL, Divisor, REGION_INTERIOR, matching_distance)
 from .errors import ContinuationError, NumericalError, PreconditionError
@@ -38,19 +40,18 @@ CRIT_TOL = 1e-6
 #: ``B'``: 5.4e-14 at most on 2160 seeded draws up to e = 24, and 1 at a
 #: point that is no root, where ``|B'|`` alone can be tiny.
 _RESIDUAL_TOL = 1e-8
-#: Most distinct nonzero free zeros whose critical points are seeded
-#: from eigenvalues; the zero seeds are faster from 7 on (measured).
-_EIGEN_MAX = 6
-#: Aberth iterations allowed from the zero seeds (5-6 typical, 13 seen
-#: up to e = 24) and the relative step that counts as converged.
+#: Aberth iterations allowed to the forward map (about 5 typical, 15 the
+#: most seen up to e = 24) and the relative step that counts as converged.
 _ABERTH_STEPS = 30
 _ABERTH_TOL = 1e-15
 #: Newton iterations allowed per continuation step of the inverse, and
 #: the continuation step below which the inverse counts as stalled.
 _NEWTON_STEPS = 12
 _MIN_STEP = 1e-6
-#: Turn of the inverse's path (``_continue_zeros``): the fewest Newton
-#: iterations on seeded round trips among the values 0.05-1.0 measured.
+#: Turn that breaks the mirror symmetry of a conjugation-symmetric input,
+#: of the inverse's path (fewest Newton iterations of 0.05-1.0 measured)
+#: and of the forward map's Aberth start, which such symmetry can keep
+#: from some roots (5.2-5.8 mean steps for each of 0.05-0.3 measured).
 _TURN = 0.2
 
 __all__ = [
@@ -87,7 +88,7 @@ class BlaschkeProduct:
     ----------
     normalization : complex
         The unimodular constant ``prod_k (1-conj(a_k))/(1-a_k)`` making
-        ``B(1) = 1``.
+        ``B(1) = 1``, as ``conj(p)/p`` with ``p = prod_k (1-a_k)``.
     degree : int
         Total degree ``e + m``.
     """
@@ -98,13 +99,9 @@ class BlaschkeProduct:
         free_zeros = Divisor(free_zeros.atoms, REGION_INTERIOR)
         self._m = m
         self._free_zeros = free_zeros
-        zeros = free_zeros.points()
-        self._zeros = zeros
-        # P(z) = prod (z - a_k), Q(z) = prod (1 - conj(a_k) z) = rev(conj(P))
-        self._p = npoly.polyfromroots(zeros) if zeros else np.array([1.0 + 0j])
-        self._q = np.conj(self._p)[::-1].copy()
-        p1 = npoly.polyval(1.0, self._p)
-        self._normalization = complex(np.conj(p1) / p1)
+        self._zeros = free_zeros.points()
+        p1 = complex(math.prod(1.0 - a for a in self._zeros))
+        self._normalization = p1.conjugate() / p1
         # (free_ram, residual_count) once critical_divisor has succeeded
         self._critical: Optional[tuple[Divisor, int]] = None
 
@@ -185,32 +182,10 @@ class RamificationResult:
                 f"residual_count={self.residual_count})")
 
 
-def _critical_numerator(p: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients of ``M = (mP + zP')Q - zPQ'`` with ``Q = rev(conj P)``,
-    the numerator of ``B'(z)/z^(m-1)`` up to the normalization."""
-    n = np.arange(len(p))
-    q = np.conj(p[::-1])
-    return np.convolve(m * p + n * p, q) - np.convolve(p, n * q)
-
-
 def from_zero_divisor(Z: Divisor, m: int) -> BlaschkeProduct:
     """Construct the unique normalized product with free zero divisor
     ``Z`` and forced local degree ``m`` at the origin."""
     return BlaschkeProduct(Z, m)
-
-
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray,
-                  steps: int = 2) -> np.ndarray:
-    """Newton steps on ``roots`` of the polynomial ``coeffs`` (low to
-    high); with 2-D ``coeffs``, each row of ``roots`` uses its own row."""
-    dcoeffs = npoly.polyder(coeffs, axis=-1)
-    out = roots.astype(complex)
-    for _ in range(steps):
-        fv = npoly.polyval(out.T, coeffs.T, tensor=False).T
-        dv = npoly.polyval(out.T, dcoeffs.T, tensor=False).T
-        safe = np.abs(dv) > 1e-280
-        out[safe] = out[safe] - fv[safe] / dv[safe]
-    return out
 
 
 def _deriv(B: BlaschkeProduct,
@@ -235,40 +210,52 @@ def _deriv(B: BlaschkeProduct,
             abs(mv), abs(mpq) + abs(z) * (abs(others) @ w))
 
 
-def _aberth(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
-            steps: int) -> tuple[np.ndarray, bool]:
-    """Up to ``steps`` Aberth steps on the interior roots ``z`` of
+def _aberth(a: np.ndarray, mu: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
+    """Up to ``_ABERTH_STEPS`` Aberth steps on the interior roots of
     ``F = f prod_k g_k``, ``f = m + z sum_k mu_k w_k/g_k``, with
-    ``g_k = (z-a_k)(1-conj(a_k)z)``, ``w_k = 1-|a_k|^2`` over distinct
-    nonzero zeros ``a_k`` of multiplicity ``mu_k``, from the factored
-    ``F'/F = f'/f + sum_k g_k'/g_k`` with the mirrored roots
-    ``1/conj(z_j)`` deflated.  Non-finite steps are not taken.  Returns
-    the points and whether all steps fell below ``_ABERTH_TOL * |z|``."""
+    ``g_k = (z-a_k)(1-conj(a_k)z)``, ``w_k = 1-|a_k|^2`` over the ``d``
+    distinct nonzero zeros ``a_k`` of multiplicity ``mu_k``, from the
+    factored ``F'/F = f'/f + sum_k g_k'/g_k`` with the mirrored roots
+    ``1/conj(z_j)`` deflated.  A step is written ``f/(f' + f S)``, ``S``
+    being ``sum_k g_k'/g_k`` less the deflation, so it is 0 where ``f``
+    is (where ``1/(f'/f + S)`` is not finite); non-finite steps are not
+    taken.  The start for ``a_k`` is the critical point of the one-zero
+    product ``z^(m+d-1) (z-a_k)/(1-conj(a_k)z)``, as if the other zeros
+    sat at the origin, turned about ``a_k`` by ``_TURN``; about the zero,
+    since near the circle the root is within ``sqrt(1-|a_k|)`` of it.
+    Returns the points and whether all steps fell below ``_ABERTH_TOL
+    * |z|``."""
     ac, aa = a.conjugate(), abs(a) ** 2
-    mw = mu * (1.0 - aa)
+    aa1 = 1.0 + aa
+    # complex weights, since a complex dot is the fastest sum numpy has
+    mw, ones = (mu * (1.0 - aa)).astype(complex), np.ones(len(a), complex)
+    z = a + (_one_zero_critical(a, m + len(a) - 1) - a) * np.exp(1j * _TURN)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(_ABERTH_STEPS):
             zc, zb = z[:, None], z.conjugate()
             acz = ac * zc
             r = 1.0 / ((zc - a) * (1.0 - acz))
             gaps = zc - z
             gaps.flat[::len(z) + 1] = np.inf    # drops 1/(z_i - z_i)
-            log_f = ((acz * zc - a) * r * r) @ mw / (m + z * (r @ mw))
+            f = m + z * r.dot(mw)
             # g_k' = 1 + |a_k|^2 - 2 conj(a_k) z, and 1/(z_i - 1/conj(z_j))
             # written to stay finite at z_j = 0
-            step = 1.0 / (log_f + ((1.0 + aa - 2.0 * acz) * r - 1.0 / gaps
-                                   - zb / (zc * zb - 1.0)).sum(axis=1))
-            z = np.where(np.isfinite(step), z - step, z)
-            if (abs(step) <= _ABERTH_TOL * abs(z)).all():
+            s = ((aa1 - 2.0 * acz) * r - 1.0 / gaps
+                 - zb / (zc * zb - 1.0)).dot(ones)
+            step = f / (((acz * zc - a) * r * r).dot(mw) + f * s)
+            np.subtract(z, step, out=z, where=np.isfinite(step))
+            if abs(step / z).max() <= _ABERTH_TOL:
                 return z, True
     return z, False
 
 
-def _zero_seeds(a: np.ndarray) -> np.ndarray:
-    """Aberth start ``0.9 a_k + 0.01 exp(2 pi i (k+1/4)/d)`` over the ``d``
-    distinct nonzero zeros ``a_k``."""
-    return 0.9 * a + 0.01 * np.exp(2j * np.pi * (np.arange(len(a)) + 0.25)
-                                   / len(a))
+def _one_zero_critical(a, m: int):
+    """Free critical point of the product ``z^m (z-a)/(1-conj(a)z)``, for
+    a number or an array ``a``."""
+    r2 = abs(a) ** 2
+    s = (m - 1) * r2 + (m + 1)
+    return 2.0 * a * m / (s + np.sqrt(np.maximum(s * s - 4.0 * m * m * r2,
+                                                 0.0)))
 
 
 def _checked(B: BlaschkeProduct,
@@ -293,18 +280,13 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     """Free critical divisor of ``B`` (the forward divisor map).
 
     A zero atom ``mu*a`` gives ``(mu-1)*a`` exactly, ``mu*0`` gives
-    ``mu*0``.  The rest are the interior roots of ``F`` (``_aberth``)
-    over the ``d`` distinct nonzero zeros.  For ``d > _EIGEN_MAX`` the
-    kernel starts at ``_zero_seeds`` and runs to convergence; otherwise,
-    or if that fails, it takes one step from the interior half of the
-    roots of ``_critical_numerator`` (pairs ``z, 1/conj(z)`` and the
-    zeros at 0) less the ``k`` nearest each exact atom ``k*c``.  Points
-    outside the disk are reflected, onto roots of ``F`` too; each must
-    then pass ``|B'| <= CRIT_TOL`` and ``|M| < _RESIDUAL_TOL`` times the
-    sum of the moduli of the terms of the factored numerator ``M``, both
-    by ``_deriv``.  If the eigenvalue start fails that check (it can lose
-    a tiny zero's critical point next to larger zeros), the zero seeds
-    are run to convergence and checked instead.
+    ``mu*0``.  The rest are the interior roots of ``F`` over the ``d``
+    distinct nonzero zeros, from one ``_aberth`` run at every degree: an
+    Aberth start that does not converge is not retried from another.
+    Points outside the disk are reflected, onto roots of ``F`` too; each
+    must then pass ``|B'| <= CRIT_TOL`` and ``|M| < _RESIDUAL_TOL`` times
+    the sum of the moduli of the terms of the factored numerator ``M``,
+    both by ``_deriv``.
 
     The first successful call stores the result on ``B``; later calls on
     the same product return a new ``RamificationResult`` over it without
@@ -315,8 +297,8 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     PreconditionError
         If ``e == 0`` (no free zeros, hence no free critical points).
     NumericalError
-        If the computed points fail the check above, or the eigenvalue
-        start fails.
+        If the computed points fail the check above (as they do for a
+        subnormal zero, whose factors overflow).
     """
     if B._critical is not None:
         return RamificationResult(*B._critical)
@@ -331,23 +313,7 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     if nonzero:
         a = np.array([z for z, _ in nonzero])
         mu = np.array([k for _, k in nonzero])
-        m, d, done = B.m + mu0, len(a), False
-        if d > _EIGEN_MAX:
-            z, done = _aberth(a, mu, m, _zero_seeds(a), _ABERTH_STEPS)
-        if not done:
-            try:    # polyroots trims the exact zeros on top
-                with np.errstate(all="ignore"):
-                    z = npoly.polyroots(_critical_numerator(B._p, B.m))
-            except np.linalg.LinAlgError as exc:    # e.g. a subnormal zero
-                raise NumericalError(f"eigen start failed: {exc}") from exc
-            z = z[abs(z).argsort()[:e]]
-            for c, k in atoms:
-                z = np.delete(z, abs(z - c).argsort()[:k])
-            z, _ = _aberth(a, mu, m, z, 1)
-        z, failure = _checked(B, z)
-        if failure and d <= _EIGEN_MAX:
-            z, failure = _checked(
-                B, _aberth(a, mu, m, _zero_seeds(a), _ABERTH_STEPS)[0])
+        z, failure = _checked(B, _aberth(a, mu, B.m + mu0)[0])
         if failure:
             raise NumericalError(failure)
         atoms.extend((complex(c), 1) for c in z)
@@ -553,12 +519,9 @@ def phi_1m_closed_form(a: complex, m: int) -> complex:
     if not isinstance(m, int) or m < 1:
         raise PreconditionError("m must be a positive integer")
     a = complex(a)
-    r2 = abs(a) ** 2
-    if r2 > (1.0 + CIRCLE_TOL) ** 2:
+    if abs(a) > 1.0 + CIRCLE_TOL:
         raise PreconditionError("phi_1m_closed_form needs |a| <= 1")
-    s = (m - 1) * r2 + (m + 1)
-    disc = s * s - 4.0 * m * m * r2
-    return 2.0 * a * m / (s + math.sqrt(max(disc, 0.0)))
+    return complex(_one_zero_critical(a, m))
 
 
 def multiplier_at_zero(B: BlaschkeProduct) -> complex:
@@ -566,7 +529,7 @@ def multiplier_at_zero(B: BlaschkeProduct) -> complex:
     derivatives ``((1-conj(a_k))/(1-a_k)) * (-a_k)`` over the free zeros."""
     if B.m >= 2:
         return 0j
-    return complex(B.normalization * B._p[0])
+    return B.normalization * math.prod(-a for a in B._zeros)
 
 
 def boundary_orbit(B: BlaschkeProduct, q: complex, n: int) -> list[complex]:

@@ -41,7 +41,7 @@ class SweepConfig:
     Parameters
     ----------
     epsilons : sequence of float
-        Strictly decreasing neighborhood radii.
+        Strictly decreasing neighborhood radii, finite and positive.
     samples_per_epsilon : int
         Random samples drawn at each radius.
     rng_seed : int
@@ -53,8 +53,8 @@ class SweepConfig:
     def __init__(self, epsilons: Sequence[float], samples_per_epsilon: int,
                  rng_seed: int, tolerances: Optional[dict] = None):
         eps = [float(e) for e in epsilons]
-        if any(e <= 0 for e in eps):
-            raise PreconditionError("epsilons must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in eps):
+            raise PreconditionError("epsilons must be finite and positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise PreconditionError("epsilons must be strictly decreasing")
         if samples_per_epsilon < 1:
@@ -130,8 +130,8 @@ def sample_neighborhood(D: BoundaryDivisor, m: int, eps: float,
     ``m`` is carried along for the consumers that rebuild products from
     the sample; the sampling itself does not depend on it.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise PreconditionError("eps must be finite and positive")
     if m < 1:
         raise PreconditionError("m must be a positive integer")
     base = (D.interior_part.free_zeros.points()
@@ -421,10 +421,13 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     goes into the certificate.  When every start fails, a winding-number
     quadtree bisection on the full ``h`` is the fallback (the solution
     exists precisely because that winding is 1).  The certificate's
-    residual is ``|achieved - L|``.
+    residual is ``|achieved - L|``.  A non-finite ``L``, ``eps`` or
+    ``tau`` is refused before any solve.
     """
     q = complex(q)
     l = int(l)
+    if not all(map(math.isfinite, (L, eps, tau))):
+        raise PreconditionError("L, eps and tau must be finite")
     if L < 0:
         raise PreconditionError("L must be nonnegative")
     if l < 1:

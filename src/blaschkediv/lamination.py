@@ -13,7 +13,9 @@ The table is built level by level: one stacked eigenvalue solve finds
 the preimages of every point of the previous level, the candidates are
 sorted by turn and merged into the circle order, and collisions are
 tested between circular neighbours only.  Angles are held as integer
-numerators over ``d^depth`` while the table grows.
+numerators over ``d^depth`` while the table grows.  The solve works on
+the expanded numerators ``n z^m P - w Q``; this module is the only one
+that builds polynomial coefficients, once per call.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
-from .blaschke import POLE_TOL, BlaschkeProduct, _polish_roots
+from .blaschke import POLE_TOL, BlaschkeProduct
 from .boundary import BoundaryDivisor
 from .errors import NumericalError, PreconditionError
 
@@ -52,9 +55,33 @@ def _snap(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _preimages(B: BlaschkeProduct,
-                ws) -> tuple[np.ndarray, np.ndarray]:
-    """Circle solutions of ``B(z) = w`` for every target ``w`` in ``ws``.
+def _coefficients(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients, low to high and of equal length, of ``n z^m P`` and
+    ``Q``, with ``P = prod_k (z - a_k)``, ``Q = prod_k (1 - conj(a_k) z)
+    = rev(conj P)`` and ``n`` the normalization: ``B = n z^m P/Q``."""
+    p = npoly.polyfromroots(B._zeros) if B._zeros else np.ones(1)
+    pad = np.zeros(B.m, dtype=complex)
+    return (B.normalization * np.concatenate((pad, p)),
+            np.concatenate((np.conj(p)[::-1], pad)))
+
+
+def _polish_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Two Newton steps on ``roots`` of the polynomial ``coeffs`` (low to
+    high); with 2-D ``coeffs``, each row of ``roots`` uses its own row."""
+    dcoeffs = npoly.polyder(coeffs, axis=-1)
+    out = roots.astype(complex)
+    for _ in range(2):
+        fv = npoly.polyval(out.T, coeffs.T, tensor=False).T
+        dv = npoly.polyval(out.T, dcoeffs.T, tensor=False).T
+        safe = np.abs(dv) > 1e-280
+        out[safe] = out[safe] - fv[safe] / dv[safe]
+    return out
+
+
+def _preimages(B: BlaschkeProduct, coeffs: tuple[np.ndarray, np.ndarray],
+               ws) -> tuple[np.ndarray, np.ndarray]:
+    """Circle solutions of ``B(z) = w`` for every target ``w`` in ``ws``,
+    from ``coeffs = _coefficients(B)``.
 
     One eigenvalue call on the stacked companion matrices of the
     numerators ``n z^m P - w Q`` (each built as ``npoly.polycompanion``
@@ -77,10 +104,7 @@ def _preimages(B: BlaschkeProduct,
     l = B.degree
     ws = _snap(np.asarray(ws, dtype=complex))[:, None]
     # numerators of B(z) - w, low to high: n z^m P(z) - w Q(z)
-    num = B.normalization * np.concatenate(
-        (np.zeros(B.m, dtype=complex), B._p))
-    num = num - ws * np.concatenate(
-        (B._q, np.zeros(len(num) - len(B._q), dtype=complex)))
+    num = coeffs[0] - ws * coeffs[1]
     comp = np.zeros((len(ws), l, l), dtype=complex)
     comp.reshape(len(ws), -1)[:, l::l + 1] = 1
     comp[:, :, -1] -= num[:, :-1] / num[:, -1:]
@@ -135,7 +159,7 @@ def preimages_of(B: BlaschkeProduct, w: complex) -> list[complex]:
     w = complex(w)
     if abs(abs(w) - 1.0) > 1e-9:
         raise PreconditionError("preimage target must be a circle point")
-    return _preimages(B, [w])[0][0].tolist()
+    return _preimages(B, _coefficients(B), [w])[0][0].tolist()
 
 
 class AngleEntry:
@@ -248,6 +272,7 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     B = D.interior_part
+    coeffs = _coefficients(B)
     d = D.total_degree
     support: list[tuple[float, int, complex]] = []
     for q, nu in D.circle_part.atoms:
@@ -273,7 +298,7 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
 
     for lv in range(1, depth + 1):
         last = olevels == lv - 1
-        cz, ct = _preimages(B, opts[last])
+        cz, ct = _preimages(B, coeffs, opts[last])
         cpar = np.repeat(order[last], B.degree)
         by_turn = np.argsort(ct, axis=None, kind="stable")
         cz, ct, cpar = cz.ravel()[by_turn], ct.ravel()[by_turn], cpar[by_turn]

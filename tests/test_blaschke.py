@@ -61,6 +61,16 @@ def test_normalization_fixes_one():
     assert abs(abs(B.normalization) - 1.0) <= 1e-15
 
 
+def test_normalization_keeps_digits_at_high_degree():
+    # from the factors, prod (1 - a_k), not from the expanded polynomial
+    rng = np.random.default_rng(1115)
+    for e in range(16, 25):
+        for _ in range(10):
+            B = from_zero_divisor(random_zeros(rng, e, 0.999), 1)
+            assert abs(B.eval(1.0) - 1.0) <= 1e-14
+            assert abs(abs(B.normalization) - 1.0) <= 1e-15
+
+
 def test_construction_rejects_bad_inputs():
     with pytest.raises(PreconditionError):
         from_zero_divisor(interior_divisor([0.5]), 0)
@@ -448,9 +458,8 @@ def test_critical_divisor_multiple_zero_atoms_are_exact():
 
 
 def test_critical_divisor_subnormal_zero_is_a_numerical_error():
-    # the eigen start divides by the numerator's subnormal leading
-    # coefficient and overflows; the failure is the package's error, not
-    # numpy's LinAlgError
+    # the factors 1/((z-a)(1-conj(a)z)) overflow next to a subnormal
+    # zero; the failure is the package's error, not numpy's
     B = from_zero_divisor(interior_divisor([2.2250738585e-313]), 1)
     with pytest.raises(NumericalError):
         critical_divisor(B)
@@ -506,40 +515,34 @@ def test_critical_divisor_near_circle_draw():
 
 def test_critical_divisor_seeded_accuracy():
     rng = np.random.default_rng(1111)
-    for radius in (0.9, 0.999):
-        for e in (8, 16, 24):
-            for _ in range(40):
-                zeros = radius * np.sqrt(rng.random(e)) * np.exp(
-                    2j * np.pi * rng.random(e))
-                m = int(rng.integers(1, 4))
-                B = from_zero_divisor(interior_divisor(zeros), m)
-                ram = critical_divisor(B).free_ram
-                # simple critical points: none found twice, none missed
-                assert len(ram.atoms) == e
-                pts = ram.points()
-                assert np.max(product_form_deriv(zeros, m, pts)) <= 1e-9
 
-
-def test_critical_divisor_falls_back_to_eigen_seeds(monkeypatch):
-    # one Aberth step from the zero seeds never converges, so every
-    # product above the crossover takes the eigen-seeded branch
-    monkeypatch.setattr(blaschke, "_ABERTH_STEPS", 1)
-    rng = np.random.default_rng(1112)
-    for e in (7, 10):
-        zeros = 0.9 * np.sqrt(rng.random(e)) * np.exp(
-            2j * np.pi * rng.random(e))
-        B = from_zero_divisor(interior_divisor(zeros), 2)
+    def check(zeros, m):
+        B = from_zero_divisor(interior_divisor(zeros), m)
         ram = critical_divisor(B).free_ram
-        assert len(ram.atoms) == e
+        # simple critical points: none found twice, none missed
+        assert len(ram.atoms) == len(zeros)
         pts = ram.points()
-        assert np.max(product_form_deriv(zeros, 2, pts)) <= 1e-9
+        assert np.max(product_form_deriv(zeros, m, pts)) <= 1e-9
+
+    for degrees in ((8, 16, 24), range(1, 7)):
+        for radius in (0.9, 0.999):
+            for e in degrees:
+                for _ in range(40):
+                    zeros = radius * np.sqrt(rng.random(e)) * np.exp(
+                        2j * np.pi * rng.random(e))
+                    check(zeros, int(rng.integers(1, 4)))
+    # e = 2 near the circle: one zero 1e-3 from it, the other 1e-4..1e-2
+    for _ in range(40):
+        gaps = np.array([1e-3, 10.0 ** rng.uniform(-4.0, -2.0)])
+        zeros = (1.0 - gaps) * np.exp(2j * np.pi * rng.random(2))
+        check(zeros, int(rng.integers(1, 4)))
 
 
 @pytest.mark.parametrize("tiny", [1e-60, 1e-100, 1e-300])
 def test_critical_divisor_keeps_a_tiny_zeros_critical_point(tiny):
-    # the eigen start returns both points at 0, where |B'| is about tiny
-    # but the factored numerator is not small; the zero seeds find the
-    # point near tiny/2 and, as a zero at 0 would, the m = 2 point of 0.5
+    # near 0, |B'| is about tiny at a root and off it alike, while the
+    # factored numerator is small only at a root: the point near tiny/2,
+    # and, as a zero at 0 would give, the m = 2 point of 0.5
     B = from_zero_divisor(interior_divisor([tiny, 0.5]), 1)
     (small, one), (big, other) = critical_divisor(B).free_ram.atoms
     assert one == other == 1
@@ -573,6 +576,27 @@ def test_critical_divisor_reuses_the_inverse_check(aberth_calls):
     assert first.residual_count == fresh.residual_count == 2
 
 
+def test_aberth_converges_on_real_zeros(monkeypatch):
+    # a real input's points can land on roots where f is exactly 0; the
+    # step f/(f' + f S) is 0 there, so the run stops instead of spending
+    # every step; and each product takes one run, with no retry
+    runs, aberth = [], blaschke._aberth
+
+    def recorded(*args):
+        z, converged = aberth(*args)
+        runs.append(converged)
+        return z, converged
+
+    monkeypatch.setattr(blaschke, "_aberth", recorded)
+    rng = np.random.default_rng(1113)
+    for e in range(2, 13):
+        for _ in range(20):
+            zeros = rng.uniform(-0.95, 0.95, e)
+            critical_divisor(from_zero_divisor(interior_divisor(zeros),
+                                               int(rng.integers(1, 4))))
+    assert len(runs) == 11 * 20 and all(runs)
+
+
 def test_critical_divisor_result_is_a_copy():
     B = from_zero_divisor(interior_divisor([0.6]), 1)
     want = critical_divisor(B).free_ram
@@ -597,12 +621,13 @@ def test_critical_divisor_failure_is_not_stored(aberth_calls, monkeypatch):
             critical_divisor(B)
     monkeypatch.setattr(blaschke, "CRIT_TOL", -1.0)
     B = from_zero_divisor(interior_divisor([0.3, 0.5j]), 1)
+    aberth_calls.clear()
     with pytest.raises(NumericalError):
         critical_divisor(B)
-    solves = len(aberth_calls)    # the eigen step and the zero-seed retry
+    solves = len(aberth_calls)    # one run, no retry
     with pytest.raises(NumericalError):
         critical_divisor(B)
-    assert solves == 2 and len(aberth_calls) == 2 * solves
+    assert solves == 1 and len(aberth_calls) == 2 * solves
 
 
 @pytest.mark.parametrize("name", ["m", "free_zeros", "normalization"])

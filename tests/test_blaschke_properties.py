@@ -18,8 +18,8 @@ from blaschkediv import (Divisor, critical_divisor,  # noqa: E402
                          from_zero_divisor, matching_distance,
                          zeros_from_critical)
 
-#: A zero at 0 or at radius 0.01-0.9: the forward map's eigenvalue
-#: start overflows on subnormal zeros.
+#: A zero at 0 or at radius 0.01-0.9: the forward map's factors
+#: 1/((z-a)(1-conj(a)z)) overflow next to a subnormal zero.
 _POINT = st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 0.9)),
                    st.floats(0.0, 1.0)).map(
     lambda polar: cmath.rect(polar[0], 2 * math.pi * polar[1]))

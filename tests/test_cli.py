@@ -452,6 +452,30 @@ def test_exit_numerical_continuation_stall(capsys, monkeypatch):
     assert diagnostic["last_good_t"] == 0.0
 
 
+@pytest.mark.parametrize("epsilons", ["[NaN]", "[1e400]", "[Infinity]"])
+def test_exit_precondition_non_finite_epsilon(epsilons, capsys, deadline):
+    config = ('{"divisor": {"m": 1, "zeros": [0.6], "support": ["1/4"]}, '
+              f'"m": 1, "epsilons": {epsilons}, "samples_per_epsilon": 4, '
+              '"rng_seed": 5}')
+    code, out, err = run_cli(
+        capsys, ["experiment", "converge", "--config", config])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("L", math.nan), ("L", math.inf), ("eps", math.nan), ("tau", math.nan)])
+def test_exit_precondition_non_finite_prescribe_scalar(key, value, capsys,
+                                                       deadline):
+    # json.dumps writes NaN and Infinity, which the CLI's parser reads
+    config = {"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3", "l": 1,
+              "L": 1.0, "eps": 0.2, key: value}
+    code, out, err = run_cli(
+        capsys, ["experiment", "prescribe", "--config", json.dumps(config)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
 def test_exit_schema_unknown_divisor_key(capsys):
     code, _, err = run_cli(
         capsys, ["extend", "--divisor", '{"m": 1, "bogus": []}'])

@@ -43,6 +43,16 @@ def test_sweep_config_rejects_bad_epsilons():
         SweepConfig([1e-3, 1e-2], 8, 1)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_non_finite_epsilon_is_refused(eps, deadline):
+    # a NaN or infinite radius never draws a point inside the disk
+    with pytest.raises(PreconditionError):
+        SweepConfig([eps], 8, 1)
+    D = make_boundary([0.6], 1, [(0.25, 1)])
+    with pytest.raises(PreconditionError):
+        sample_neighborhood(D, 1, eps, np.random.default_rng(1))
+
+
 def test_sweep_config_rejects_bad_sample_count():
     with pytest.raises(PreconditionError):
         SweepConfig([1e-2], 0, 1)
@@ -364,6 +374,15 @@ def test_prescribe_rejects_bad_scalars():
         prescribe_distance(D, q, 0, 1.0, eps=0.2)
     with pytest.raises(PreconditionError):
         prescribe_distance(D, q, 1, 1.0, eps=0.0)
+
+
+@pytest.mark.parametrize("L, eps, tau", [
+    (math.nan, 0.2, 1e-3), (math.inf, 0.2, 1e-3), (1.0, math.nan, 1e-3),
+    (1.0, math.inf, 1e-3), (1.0, 0.2, math.nan), (1.0, 0.2, math.inf)])
+def test_prescribe_refuses_non_finite_scalars(L, eps, tau, deadline):
+    with pytest.raises(PreconditionError):
+        prescribe_distance(orbit_reference(), turn(1.0 / 3.0), 1, L,
+                           eps=eps, tau=tau)
 
 
 def test_prescribe_unreachable_distance_fails_honestly():

@@ -22,8 +22,7 @@ from blaschkediv import (BoundaryDivisor, Divisor, NumericalError,
                          PreconditionError, boundary_from_json,
                          from_zero_divisor, lamination, lamination_table,
                          preimages_of, ray_pairs)
-from blaschkediv.blaschke import _polish_roots
-from blaschkediv.lamination import table_csv_rows
+from blaschkediv.lamination import _polish_roots, table_csv_rows
 
 
 def turn(t: float) -> complex:
@@ -124,10 +123,12 @@ def test_batched_preimages_equal_one_solve_per_target():
     B = from_zero_divisor(
         Divisor([(0.4 + 0.1j, 1), (-0.3j, 1)], "interior"), 2)
     targets = [turn(t) for t in (0.0, 0.1, 0.37, 0.5, 0.93)]
-    points, turns = lamination._preimages(B, targets)
+    points, turns = lamination._preimages(B, lamination._coefficients(B),
+                                          targets)
+    p = npoly.polyfromroots(B.free_zeros.points())
     for w, row, row_turns in zip(targets, points, turns):
-        num = B.normalization * np.concatenate((np.zeros(B.m), B._p))
-        num = num - w * np.concatenate((B._q, np.zeros(B.m)))
+        num = B.normalization * np.concatenate((np.zeros(B.m), p))
+        num = num - w * np.concatenate((np.conj(p)[::-1], np.zeros(B.m)))
         roots = _polish_roots(num, npoly.polyroots(num))
         expected = sorted((complex(z) / abs(complex(z)) for z in roots),
                           key=lambda z: cmath.phase(z) % (2.0 * math.pi))
@@ -325,10 +326,10 @@ def test_depth_eight_exact_invariants():
 def test_coinciding_candidates_raise(monkeypatch):
     solve = lamination._preimages
 
-    def colliding(B, ws):
+    def colliding(B, coeffs, ws):
         # the first preimage of the last parent lands on the first
         # preimage of the first parent
-        points, turns = solve(B, ws)
+        points, turns = solve(B, coeffs, ws)
         points[-1, 0], turns[-1, 0] = points[0, 0], turns[0, 0]
         return points, turns
 
