@@ -6,16 +6,20 @@ with ``c_k = (1 - conj(a_k))/(1 - a_k)``, so that ``B(0) = 0`` with local
 degree at least ``m`` and ``B(1) = 1``.  The free zeros ``a_k`` form an
 interior divisor of degree ``e``; the forward map sends it to the degree-e
 divisor of free critical points, by one Aberth run on the factored
-numerator of ``B'`` from closed-form one-zero seeds.  Nothing here expands
-``B`` into polynomial coefficients; only the lamination's preimage solve
-does.  The inverse solves for the zeros
-themselves by Newton's method on the conditions that the partial-fraction
-form of ``B'/B`` vanish at the prescribed points (with multiplicity),
-continued along one slightly turned path to the target and checked by
-one forward map; its ``newton_tol`` bounds each condition's residual
-relative to the sum of the moduli of its terms.  A multiple zero, whose
-critical atom the conditions cannot see, is fixed exactly once the
-tracked zeros collapse onto it.
+numerator of ``B'`` from closed-form one-zero seeds.  That run takes a
+stack of products at once: ``critical_divisor`` maps one product, and the
+experiments map all their products of one shape (the same number of
+distinct nonzero zeros and local degree at 0) in one run, each product
+getting the points it would get alone.  Nothing here expands ``B`` into
+polynomial coefficients; only the lamination's preimage solve does.  The
+inverse solves for the zeros themselves by Newton's method on the
+conditions that the partial-fraction form of ``B'/B`` vanish at the
+prescribed points (with multiplicity), continued along one slightly
+turned path to the target and checked by one forward map; its
+``newton_tol`` bounds each condition's residual relative to the sum of
+the moduli of its terms.  A multiple zero, whose critical atom the
+conditions cannot see, is fixed exactly once the tracked zeros collapse
+onto it.
 """
 
 from __future__ import annotations
@@ -96,7 +100,8 @@ class BlaschkeProduct:
     def __init__(self, free_zeros: Divisor, m: int):
         if not isinstance(m, int) or m < 1:
             raise PreconditionError("m must be a positive integer")
-        free_zeros = Divisor(free_zeros.atoms, REGION_INTERIOR)
+        if free_zeros.region != REGION_INTERIOR:
+            free_zeros = free_zeros.with_region(REGION_INTERIOR)
         self._m = m
         self._free_zeros = free_zeros
         self._zeros = free_zeros.points()
@@ -152,7 +157,10 @@ class BlaschkeProduct:
         ``NumericalError`` near a pole, as ``eval`` does."""
         z = complex(z)
         self._check_pole(z)
-        return complex(_deriv(self, np.array([z]))[0][0])
+        return complex(_deriv(np.array([self._zeros], complex),
+                              np.ones((1, self.e)), self.m,
+                              np.array([self.normalization]),
+                              np.array([[z]]))[0][0, 0])
 
     def __repr__(self) -> str:
         return (f"BlaschkeProduct(m={self.m}, "
@@ -188,65 +196,96 @@ def from_zero_divisor(Z: Divisor, m: int) -> BlaschkeProduct:
     return BlaschkeProduct(Z, m)
 
 
-def _deriv(B: BlaschkeProduct,
+def _deriv(a: np.ndarray, mu: np.ndarray, m: int, norm: np.ndarray,
            z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``B'`` at the points ``z``: ``n z^(m-1) M/Q^2`` (``m z^(m-1)`` when
-    ``e = 0``) with the factored numerator ``M = mPQ + z sum_k (1-|a_k|^2)
-    prod_(j!=k) (z-a_j)(1-conj(a_j)z)``, which keeps the relative accuracy
-    that the expanded coefficients of ``M`` lose at high degree; also
-    ``|M|`` and the sum of the moduli of its terms, which ``|M|`` nearly
-    reaches at a point that is no root however small ``B'`` is there."""
-    a = np.asarray(B._zeros)
-    h = 1.0 - np.conj(a) * z[:, None]
-    g = (z[:, None] - a) * h
+    """``B'/prod_k phi_k^(mu_k-1)`` at the points ``z[i]`` of the product
+    ``B = norm[i] z^m prod_k phi_k^mu_k``, ``phi_k = (z-a_k)/(1-conj(a_k)z)``,
+    for each row ``i`` of the ``(k, d)`` stacks of zeros ``a`` and
+    multiplicities ``mu``: ``B'`` itself when every ``mu_k`` is 1, and
+    zero at the same free critical points otherwise.  It is ``n z^(m-1)
+    M/Q^2`` (``m z^(m-1)`` when ``d = 0``) with ``Q = prod_k
+    (1-conj(a_k)z)`` and the factored numerator ``M = m prod_k g_k + z
+    sum_k mu_k w_k prod_(j!=k) g_j`` of ``_aberth``'s ``F``, which keeps
+    the relative accuracy that expanded coefficients lose at high degree;
+    also returns ``|M|`` and the sum of the moduli of its terms, which
+    ``|M|`` nearly reaches at a point that is no root however small
+    ``B'`` is there."""
+    zc = z[:, :, None]
+    h = 1.0 - a.conjugate()[:, None, :] * zc
+    g = (zc - a[:, None, :]) * h
     # prod_(j!=k) g_j as the products of the factors before and after k
-    ones = np.ones((len(z), 1))
-    others = (np.cumprod(np.hstack((ones, g)), axis=1)[:, :-1]
-              * np.cumprod(np.hstack((ones, g[:, ::-1])), axis=1)[:, -2::-1])
-    w = 1.0 - abs(a) ** 2
-    mpq = B.m * g.prod(axis=1)
-    mv = mpq + z * (others @ w)
-    return (B.normalization * z ** (B.m - 1) * mv / h.prod(axis=1) ** 2,
-            abs(mv), abs(mpq) + abs(z) * (abs(others) @ w))
+    ones = np.ones(z.shape + (1,))
+    others = (np.cumprod(np.concatenate((ones, g), axis=2), axis=2)[..., :-1]
+              * np.cumprod(np.concatenate((ones, g[..., ::-1]), axis=2),
+                           axis=2)[..., -2::-1])
+    w = (mu * (1.0 - abs(a) ** 2))[:, :, None]
+    mpq = m * g.prod(axis=2)
+    mv = mpq + z * (others @ w)[..., 0]
+    return (norm[:, None] * z ** (m - 1) * mv / h.prod(axis=2) ** 2,
+            abs(mv), abs(mpq) + abs(z) * (abs(others) @ w)[..., 0])
 
 
 def _aberth(a: np.ndarray, mu: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
-    """Up to ``_ABERTH_STEPS`` Aberth steps on the interior roots of
+    """Up to ``_ABERTH_STEPS`` Aberth steps, on each row ``i`` of the
+    ``(k, d)`` stacks ``a`` and ``mu`` at once, on the interior roots of
     ``F = f prod_k g_k``, ``f = m + z sum_k mu_k w_k/g_k``, with
     ``g_k = (z-a_k)(1-conj(a_k)z)``, ``w_k = 1-|a_k|^2`` over the ``d``
-    distinct nonzero zeros ``a_k`` of multiplicity ``mu_k``, from the
-    factored ``F'/F = f'/f + sum_k g_k'/g_k`` with the mirrored roots
-    ``1/conj(z_j)`` deflated.  A step is written ``f/(f' + f S)``, ``S``
-    being ``sum_k g_k'/g_k`` less the deflation, so it is 0 where ``f``
-    is (where ``1/(f'/f + S)`` is not finite); non-finite steps are not
-    taken.  The start for ``a_k`` is the critical point of the one-zero
-    product ``z^(m+d-1) (z-a_k)/(1-conj(a_k)z)``, as if the other zeros
-    sat at the origin, turned about ``a_k`` by ``_TURN``; about the zero,
-    since near the circle the root is within ``sqrt(1-|a_k|)`` of it.
-    Returns the points and whether all steps fell below ``_ABERTH_TOL
-    * |z|``."""
-    ac, aa = a.conjugate(), abs(a) ** 2
-    aa1 = 1.0 + aa
-    # complex weights, since a complex dot is the fastest sum numpy has
-    mw, ones = (mu * (1.0 - aa)).astype(complex), np.ones(len(a), complex)
-    z = a + (_one_zero_critical(a, m + len(a) - 1) - a) * np.exp(1j * _TURN)
+    distinct nonzero zeros ``a_k = a[i, k]`` of multiplicity ``mu_k``,
+    from the factored ``F'/F = f'/f + sum_k g_k'/g_k`` with the mirrored
+    roots ``1/conj(z_j)`` deflated.  A step is written ``f/(f' + f S)``,
+    ``S`` being ``sum_k g_k'/g_k`` less the deflation, so it is 0 where
+    ``f`` is (where ``1/(f'/f + S)`` is not finite); non-finite steps are
+    not taken.  The start for ``a_k`` is the critical point of the
+    one-zero product ``z^(m+d-1) (z-a_k)/(1-conj(a_k)z)``, as if the
+    other zeros sat at the origin, turned about ``a_k`` by ``_TURN``;
+    about the zero, since near the circle the root is within
+    ``sqrt(1-|a_k|)`` of it.  The rows are independent problems stepped
+    together until every step of every row falls below ``_ABERTH_TOL *
+    |z|``; a row that has converged keeps taking its (vanishing) steps.
+    Returns the ``(k, d)`` points and whether that happened."""
+    k, d = a.shape
+    aa = abs(a) ** 2
+    a3 = a[:, None, :]
+    ac, aa1 = a3.conjugate(), (1.0 + aa)[:, None, :]
+    # complex weights, since a complex product is the fastest sum numpy
+    # has; a row's @ rounds as a one-row dot does
+    mw = (mu * (1.0 - aa)).astype(complex)[:, :, None]
+    ones = np.ones(d, complex)
+    # the points as columns zc, and the same memory as rows zr
+    zc = (a + (_one_zero_critical(a, m + d - 1) - a)
+          * np.exp(1j * _TURN))[:, :, None]
+    zr = zc.reshape(k, 1, d)
+    # 1/g_k in the first d rows of a block and the terms of f' in the
+    # last d, so that one @ takes both weighted sums
+    terms = np.empty((k, 2 * d, d), complex)
+    sums = np.empty((k, 2 * d, 1), complex)
+    r, fp_terms, f_sum, fp_sum = (terms[:, :d], terms[:, d:], sums[:, :d],
+                                  sums[:, d:])
+    # z_i - z_j, then the terms of S, and their sums by a one-call dot
+    gaps = np.empty((k * d, d), complex)
+    gaps3, diagonal = gaps.reshape(k, d, d), gaps.reshape(k, d * d)[:, ::d + 1]
+    s = np.empty(k * d, complex)
+    s3 = s.reshape(k, d, 1)
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_STEPS):
-            zc, zb = z[:, None], z.conjugate()
+            zb = zr.conjugate()
             acz = ac * zc
-            r = 1.0 / ((zc - a) * (1.0 - acz))
-            gaps = zc - z
-            gaps.flat[::len(z) + 1] = np.inf    # drops 1/(z_i - z_i)
-            f = m + z * r.dot(mw)
+            np.divide(1.0, (zc - a3) * (1.0 - acz), out=r)
+            np.multiply((acz * zc - a3) * r, r, out=fp_terms)
+            np.matmul(terms, mw, out=sums)
+            np.subtract(zc, zr, out=gaps3)
+            diagonal[...] = np.inf    # drops 1/(z_i - z_i)
             # g_k' = 1 + |a_k|^2 - 2 conj(a_k) z, and 1/(z_i - 1/conj(z_j))
             # written to stay finite at z_j = 0
-            s = ((aa1 - 2.0 * acz) * r - 1.0 / gaps
-                 - zb / (zc * zb - 1.0)).dot(ones)
-            step = f / (((acz * zc - a) * r * r).dot(mw) + f * s)
-            np.subtract(z, step, out=z, where=np.isfinite(step))
-            if abs(step / z).max() <= _ABERTH_TOL:
-                return z, True
-    return z, False
+            np.subtract((aa1 - 2.0 * acz) * r - 1.0 / gaps3,
+                        zb / (zc * zb - 1.0), out=gaps3)
+            np.dot(gaps, ones, out=s)
+            f = m + zc * f_sum
+            step = f / (fp_sum + f * s3)
+            np.subtract(zc, step, out=zc, where=np.isfinite(step))
+            if abs(step / zc).max() <= _ABERTH_TOL:
+                return zr.reshape(k, d), True
+    return zr.reshape(k, d), False
 
 
 def _one_zero_critical(a, m: int):
@@ -258,22 +297,72 @@ def _one_zero_critical(a, m: int):
                                                  0.0)))
 
 
-def _checked(B: BlaschkeProduct,
-             z: np.ndarray) -> tuple[np.ndarray, Optional[str]]:
-    """The points ``z`` with those outside the disk reflected (onto roots of
-    ``F`` too), and why they fail as free critical points of ``B``, or
-    ``None`` if they pass."""
+def _checked(a: np.ndarray, mu: np.ndarray, m: int, norm: np.ndarray,
+             z: np.ndarray) -> tuple[np.ndarray, list[Optional[str]]]:
+    """The ``(k, d)`` points ``z`` with those outside the disk reflected
+    (onto roots of ``F`` too), and for each row why its points fail as
+    free critical points of the product of ``_deriv``, or ``None`` if
+    they pass."""
     z = np.divide(1.0, z.conjugate(), out=z, where=abs(z) > 1.0)
-    dv, m_abs, m_terms = _deriv(B, z)
-    worst = float(abs(dv).max())
+    dv, m_abs, m_terms = _deriv(a, mu, m, norm, z)
     # strict, so that a point where M and all its terms vanish fails too
-    if (worst <= CRIT_TOL and (m_abs < _RESIDUAL_TOL * m_terms).all()
-            and (abs(z) < 1.0).all()):
-        return z, None
+    good = ((abs(dv) <= CRIT_TOL) & (m_abs < _RESIDUAL_TOL * m_terms)
+            & (abs(z) < 1.0))
+    if good.all():
+        return z, [None] * len(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        res = float((m_abs / m_terms).max())
-    return z, (f"a computed critical point has |B'| = {worst:.3g}, relative "
-               f"residual {res:.3g}, or lies outside the disk")
+        res = (m_abs / m_terms).max(axis=1)
+    return z, [None if ok else
+               f"a computed critical point has |B'| = {w:.3g}, relative "
+               f"residual {r:.3g}, or lies outside the disk"
+               for ok, w, r in zip(good.all(axis=1), abs(dv).max(axis=1), res)]
+
+
+def _critical_divisors(products: list[BlaschkeProduct]) -> list:
+    """The forward map of several products at once: for each, the
+    ``RamificationResult`` that ``critical_divisor`` returns or the error
+    it raises.  Products that share the number ``d`` of distinct nonzero
+    free zeros and the local degree at 0 take one ``_aberth`` run and one
+    ``_checked`` call, as one ``(k, d)`` stack; a product that fails does
+    not keep the others of its stack from their results.  Each success is
+    stored on its product, and a product that has one is not solved
+    again."""
+    out: list = [None] * len(products)
+    groups: dict[tuple[int, int], list] = {}
+    for i, B in enumerate(products):
+        if B._critical is not None:
+            out[i] = RamificationResult(*B._critical)
+        elif B.e < 1:
+            out[i] = PreconditionError(
+                "critical_divisor needs at least one free zero")
+        else:
+            nonzero = [(z, mu) for z, mu in B.free_zeros.atoms if z != 0]
+            # the local degree at 0 counts the free zeros there
+            m = B.m + B.e - sum(mu for _, mu in nonzero)
+            # a zero atom mu*a gives (mu-1)*a exactly, mu*0 gives mu*0
+            atoms = [(z, mu - 1) for z, mu in nonzero if mu > 1]
+            if m > B.m:
+                atoms.append((0j, m - B.m))
+            if nonzero:
+                groups.setdefault((len(nonzero), m), []).append(
+                    (i, nonzero, atoms))
+            else:
+                B._critical = (Divisor(atoms, REGION_INTERIOR), 0)
+                out[i] = RamificationResult(*B._critical)
+    for (_, m), members in groups.items():
+        a = np.array([[z for z, _ in nz] for _, nz, _ in members])
+        mu = np.array([[k for _, k in nz] for _, nz, _ in members])
+        norm = np.array([products[i].normalization for i, _, _ in members])
+        z, failures = _checked(a, mu, m, norm, _aberth(a, mu, m)[0])
+        for (i, nonzero, atoms), row, failure in zip(members, z, failures):
+            if failure:
+                out[i] = NumericalError(failure)
+                continue
+            atoms.extend((complex(c), 1) for c in row)
+            products[i]._critical = (Divisor(atoms, REGION_INTERIOR),
+                                     sum(mu for _, mu in nonzero))
+            out[i] = RamificationResult(*products[i]._critical)
+    return out
 
 
 def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
@@ -284,9 +373,13 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     distinct nonzero zeros, from one ``_aberth`` run at every degree: an
     Aberth start that does not converge is not retried from another.
     Points outside the disk are reflected, onto roots of ``F`` too; each
-    must then pass ``|B'| <= CRIT_TOL`` and ``|M| < _RESIDUAL_TOL`` times
-    the sum of the moduli of the terms of the factored numerator ``M``,
-    both by ``_deriv``.
+    must then pass ``|B'| <= CRIT_TOL`` (``B'`` divided by
+    ``phi_k^(mu_k-1)`` for a multiple zero ``mu_k*a_k``, which only makes
+    it larger) and ``|M| < _RESIDUAL_TOL`` times the sum of the moduli of
+    the terms of the factored numerator ``M``, both by ``_deriv``.  This
+    is the one-product call of the stacked map ``_critical_divisors``,
+    through which the experiments map many products of one shape in one
+    run.
 
     The first successful call stores the result on ``B``; later calls on
     the same product return a new ``RamificationResult`` over it without
@@ -300,25 +393,10 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
         If the computed points fail the check above (as they do for a
         subnormal zero, whose factors overflow).
     """
-    if B._critical is not None:
-        return RamificationResult(*B._critical)
-    e = B.e
-    if e < 1:
-        raise PreconditionError("critical_divisor needs at least one free zero")
-    nonzero = [(z, mu) for z, mu in B.free_zeros.atoms if z != 0]
-    mu0 = e - sum(mu for _, mu in nonzero)
-    atoms = [(z, mu - 1) for z, mu in nonzero if mu > 1]
-    if mu0:
-        atoms.append((0j, mu0))
-    if nonzero:
-        a = np.array([z for z, _ in nonzero])
-        mu = np.array([k for _, k in nonzero])
-        z, failure = _checked(B, _aberth(a, mu, B.m + mu0)[0])
-        if failure:
-            raise NumericalError(failure)
-        atoms.extend((complex(c), 1) for c in z)
-    B._critical = (Divisor(atoms, REGION_INTERIOR), e - mu0)
-    return RamificationResult(*B._critical)
+    (result,) = _critical_divisors([B])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _inverse_terms(a: np.ndarray, z: np.ndarray, p: Optional[np.ndarray],
@@ -490,7 +568,7 @@ def zeros_from_critical(R: Divisor, m: int,
     if not (math.isfinite(newton_tol) and newton_tol > 0):
         raise PreconditionError("newton_tol must be finite and positive")
     if R.region != REGION_INTERIOR:
-        R = Divisor(R.atoms, REGION_INTERIOR)
+        R = R.with_region(REGION_INTERIOR)
     atoms = [(c, k) for c, k in R.atoms if c != 0]
     mu0 = e - sum(k for _, k in atoms)
     solved = []

@@ -59,7 +59,7 @@ class BoundaryDivisor:
     """
 
     def __init__(self, interior_part: BlaschkeProduct, circle_part: Divisor):
-        circle_part = Divisor(circle_part.atoms, REGION_CIRCLE)
+        circle_part = circle_part.with_region(REGION_CIRCLE)
         if interior_part.degree < 1:
             raise PreconditionError("interior part must have degree >= 1")
         self.interior_part = interior_part

@@ -85,6 +85,28 @@ def _merge_atoms(atoms: Iterable[tuple[complex, int]]) -> list[tuple[complex, in
     return merged
 
 
+def _in_region(atoms: Iterable[tuple[complex, int]],
+               region: str) -> tuple[tuple[complex, int], ...]:
+    """The atoms as a tuple, once each lies in the region."""
+    if region not in _REGIONS:
+        raise PreconditionError(f"unknown region {region!r}")
+    atoms = tuple(atoms)
+    for z, _ in atoms:
+        r = abs(z)
+        # negated tests, so that a NaN modulus (from a NaN atom, or an
+        # infinite one turned NaN by the merge centroid) fails them
+        if region == REGION_INTERIOR and not r < 1.0:
+            raise PreconditionError(
+                f"interior divisor atom with |z| = {r:.17g} >= 1")
+        if region == REGION_CIRCLE and not abs(r - 1.0) <= CIRCLE_TOL:
+            raise PreconditionError(
+                f"circle divisor atom with |z| = {r:.17g} off the circle")
+        if region == REGION_CLOSED and not r <= 1.0 + CIRCLE_TOL:
+            raise PreconditionError(
+                f"closed-disk divisor atom with |z| = {r:.17g} > 1")
+    return atoms
+
+
 class Divisor:
     """An integral divisor: atoms ``(point, multiplicity)`` over a region.
 
@@ -106,23 +128,7 @@ class Divisor:
 
     def __init__(self, atoms: Iterable[tuple[complex, int]],
                  region: str = REGION_CLOSED):
-        if region not in _REGIONS:
-            raise PreconditionError(f"unknown region {region!r}")
-        merged = _merge_atoms(atoms)
-        for z, _ in merged:
-            r = abs(z)
-            # negated tests, so that a NaN modulus (from a NaN atom, or
-            # an infinite one turned NaN by the merge centroid) fails them
-            if region == REGION_INTERIOR and not r < 1.0:
-                raise PreconditionError(
-                    f"interior divisor atom with |z| = {r:.17g} >= 1")
-            if region == REGION_CIRCLE and not abs(r - 1.0) <= CIRCLE_TOL:
-                raise PreconditionError(
-                    f"circle divisor atom with |z| = {r:.17g} off the circle")
-            if region == REGION_CLOSED and not r <= 1.0 + CIRCLE_TOL:
-                raise PreconditionError(
-                    f"closed-disk divisor atom with |z| = {r:.17g} > 1")
-        self._atoms: tuple[tuple[complex, int], ...] = tuple(merged)
+        self._atoms = _in_region(_merge_atoms(atoms), region)
         self._region = region
 
     @property
@@ -156,8 +162,13 @@ class Divisor:
         return out
 
     def with_region(self, region: str) -> "Divisor":
-        """Same atoms, revalidated under another region tag."""
-        return Divisor(self._atoms, region)
+        """Same atoms, revalidated under another region tag.  They are
+        merged and sorted already, so only the region checks run, and the
+        points are kept bit for bit (a merge would divide ``z*m`` by ``m``
+        again)."""
+        D = Divisor.__new__(Divisor)
+        D._atoms, D._region = _in_region(self._atoms, region), region
+        return D
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Divisor) and self._region == other._region

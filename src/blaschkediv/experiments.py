@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blaschke import (BlaschkeProduct, boundary_orbit, critical_divisor,
-                       from_zero_divisor, multiplier_at_zero)
+from .blaschke import (BlaschkeProduct, _critical_divisors, boundary_orbit,
+                       critical_divisor, from_zero_divisor,
+                       multiplier_at_zero)
 from .boundary import BoundaryDivisor, extend_phi
 from .divisor import (Divisor, REGION_INTERIOR, add, divisor_to_json,
                       is_simple, matching_distance)
@@ -128,7 +129,11 @@ def sample_neighborhood(D: BoundaryDivisor, m: int, eps: float,
     open disk).
 
     ``m`` is carried along for the consumers that rebuild products from
-    the sample; the sampling itself does not depend on it.
+    the sample; the sampling itself does not depend on it.  Points are
+    drawn from the eps-disk about the atom until one lands in the open
+    disk, except for ``eps >= 2``: then every point of the open disk lies
+    within ``eps`` of every atom of the closed disk, so they are drawn
+    from the disk itself instead of about one draw in ``eps**2``.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise PreconditionError("eps must be finite and positive")
@@ -138,10 +143,11 @@ def sample_neighborhood(D: BoundaryDivisor, m: int, eps: float,
             + D.circle_part.points())
     atoms = []
     for a in base:
+        center, radius = (0j, 1.0) if eps >= 2.0 else (a, eps)
         while True:
-            r = eps * math.sqrt(rng.random())
+            r = radius * math.sqrt(rng.random())
             phi = 2.0 * math.pi * rng.random()
-            b = a + r * complex(math.cos(phi), math.sin(phi))
+            b = center + r * complex(math.cos(phi), math.sin(phi))
             if abs(b) < 1.0 - 1e-12:
                 atoms.append((b, 1))
                 break
@@ -165,8 +171,10 @@ def verify_extension_convergence(D: BoundaryDivisor, m: int,
     critical divisors of the samples sit from the extended image.
 
     For each epsilon, draws ``cfg.samples_per_epsilon`` zero divisors
-    from the epsilon-neighborhood, maps each through the critical-divisor
-    map, and records the bottleneck matching distance to
+    from the epsilon-neighborhood, maps them through the critical-divisor
+    map together (one stacked forward map, ``_critical_divisors``, which
+    gives each sample the points a solo ``critical_divisor`` call would),
+    and records the bottleneck matching distance of each image to
     ``extend_phi(D, m)`` (raw Euclidean, closed-disk).  The report also
     carries a radially projected variant of the distance as an angular
     diagnostic, and counts solver failures instead of hiding them.
@@ -176,17 +184,18 @@ def verify_extension_convergence(D: BoundaryDivisor, m: int,
     target_projected = _projected(target)
     profile = []
     for eps in cfg.epsilons:
+        products = [from_zero_divisor(sample_neighborhood(D, m, eps, rng), m)
+                    for _ in range(cfg.samples_per_epsilon)]
         dists = []
         projected = []
         failures = 0
-        for _ in range(cfg.samples_per_epsilon):
-            sample = sample_neighborhood(D, m, eps, rng)
-            try:
-                image = critical_divisor(from_zero_divisor(sample, m)).free_ram
-            except NumericalError:
+        for result in _critical_divisors(products):
+            if isinstance(result, NumericalError):
                 failures += 1
                 continue
-            closed = image.with_region("closed")
+            if isinstance(result, Exception):
+                raise result
+            closed = result.free_ram.with_region("closed")
             dists.append(matching_distance(closed, target))
             projected.append(matching_distance(_projected(closed),
                                                target_projected))
@@ -218,14 +227,28 @@ def _critical_point_near(B: BlaschkeProduct, q: complex) -> complex:
     return dists[0][1]
 
 
-def _orbit_near(B: BlaschkeProduct, q: complex,
-                l: int) -> tuple[complex, complex]:
-    """The critical point ``c`` of ``B`` near ``q`` (guarded as in
-    ``_critical_point_near``) and its image ``B^l(c)``."""
-    c = w = _critical_point_near(B, q)
-    for _ in range(l):
-        w = B.eval(w)
-    return c, w
+def _orbits_near(products: list[BlaschkeProduct], q: complex,
+                 l: int) -> list:
+    """For each product ``B`` the critical point ``c`` of ``B`` near
+    ``q`` (guarded as in ``_critical_point_near``) and its image
+    ``B^l(c)``, or the ``PreconditionError`` or ``NumericalError`` that
+    stopped it.  One stacked forward map solves them all and stores each
+    critical divisor on its product, where ``_critical_point_near``
+    reads it."""
+    out: list = []
+    for B, result in zip(products, _critical_divisors(products)):
+        if isinstance(result, Exception):
+            out.append(result)
+            continue
+        try:
+            c = w = _critical_point_near(B, q)
+            for _ in range(l):
+                w = B.eval(w)
+        except NumericalError as exc:
+            out.append(exc)
+            continue
+        out.append((c, w))
+    return out
 
 
 def _check_orbit_preconditions(D: BoundaryDivisor, q: complex, l: int,
@@ -263,19 +286,26 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
     For each ``n`` the approximant ``B_n`` has zeros ``(1 - 1/n) q_j``
     radially inside each support point; the report records the distance
     from ``B_n^l(c_q(B_n))`` to ``B^l(q)`` plus the renormalized
-    (angular) discrepancy as a diagnostic.
+    (angular) discrepancy as a diagnostic.  Every ``n`` is checked before
+    any is solved, and all ``B_n`` of the schedule are mapped together
+    (one stacked forward map, ``_critical_divisors``); the first failing
+    ``n`` of the schedule raises its error.
     """
     l = int(l)
     if l < 1:
         raise PreconditionError("l must be at least 1")
     q = complex(q)
     target = _check_orbit_preconditions(D, q, l)
+    if any(n < 2 for n in n_schedule):
+        raise PreconditionError("schedule entries must be at least 2")
     m = D.interior_part.m
+    products = [from_zero_divisor(_radial_approach(D, n), m)
+                for n in n_schedule]
     rows = []
-    for n in n_schedule:
-        if n < 2:
-            raise PreconditionError("schedule entries must be at least 2")
-        c, w = _orbit_near(from_zero_divisor(_radial_approach(D, n), m), q, l)
+    for n, orbit in zip(n_schedule, _orbits_near(products, q, l)):
+        if isinstance(orbit, Exception):
+            raise orbit
+        c, w = orbit
         rows.append({
             "n": int(n),
             "critical_point": [c.real, c.imag],
@@ -411,11 +441,14 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     hyperbolic circle.  Five starts on the radius toward ``q`` are
     ranked by the guarded full evaluation of ``h``, which rebuilds the
     product and picks ``c_q`` among all its critical points, refusing an
-    ambiguous choice.  Newton then tracks that one critical point
-    (``_tracked_orbit``): each trial predicts it to first order from the
-    last one and refines it on the factored numerator, and the Jacobian
-    comes from the closed-form Wirtinger derivatives of ``h``, under a
-    monotone backtracking line search.  At convergence one guarded full
+    ambiguous choice; the five products are mapped together (one stacked
+    forward map, ``_critical_divisors``), and each start still counts as
+    one full evaluation in the certificate's ``iterations``.  Newton then
+    tracks that one critical point (``_tracked_orbit``): each trial
+    predicts it to first order from the last one and refines it on the
+    factored numerator, and the Jacobian comes from the closed-form
+    Wirtinger derivatives of ``h``, under a monotone backtracking line
+    search.  At convergence one guarded full
     evaluation checks the basin: the root counts only if the critical
     point it picks is the tracked one within 1e-9, and its orbit value
     goes into the certificate.  When every start fails, a winding-number
@@ -462,21 +495,29 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     def inside(zeta: complex) -> bool:
         return abs(zeta) < 1.0 - 1e-9 and abs(zeta - q) <= eps
 
-    def full(zeta: complex) -> Optional[tuple[complex, complex]]:
-        """Guarded full evaluation: the critical point near ``q`` of the
-        rebuilt product and ``h(zeta)``."""
+    def full(zetas: list[complex]) -> list[Optional[tuple[complex, complex]]]:
+        """Guarded full evaluations at ``zetas``, by one stacked forward
+        map: the critical point near ``q`` of each rebuilt product and
+        ``h(zeta)``, or None."""
         nonlocal evals
-        evals += 1
-        if not inside(zeta):
-            return None
-        try:
-            return _orbit_near(from_zero_divisor(
-                Divisor(base_atoms + [(zeta, 1)], REGION_INTERIOR), m), q, l)
-        except (PreconditionError, NumericalError):
-            return None
+        evals += len(zetas)
+        products = {}
+        for i, zeta in enumerate(zetas):
+            if inside(zeta):
+                try:
+                    products[i] = from_zero_divisor(Divisor(
+                        base_atoms + [(zeta, 1)], REGION_INTERIOR), m)
+                except PreconditionError:
+                    pass
+        vals: list = [None] * len(zetas)
+        for i, val in zip(products, _orbits_near(list(products.values()),
+                                                 q, l)):
+            if not isinstance(val, Exception):
+                vals[i] = val
+        return vals
 
     def h(zeta: complex) -> Optional[complex]:
-        val = full(zeta)
+        (val,) = full([zeta])
         return None if val is None else val[1]
 
     def tracked(zeta: complex, c0: complex) -> Optional[tuple[complex, ...]]:
@@ -497,7 +538,7 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
             f -= xi
             err = abs(f)
             if err < 1e-11:
-                val = full(z)
+                (val,) = full([z])
                 if val is None or not abs(val[0] - c) <= 1e-9:
                     return None
                 return z, val[1]
@@ -525,11 +566,8 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     for _ in range(max_attempts):
         starts = [(1.0 - s * delta) * q
                   for s in (0.3, 0.1, 0.03, 0.01, 0.003)]
-        ranked = []
-        for z0 in starts:
-            val = full(z0)
-            if val is not None:
-                ranked.append((abs(val[1] - xi), z0, val[0]))
+        ranked = [(abs(val[1] - xi), z0, val[0])
+                  for z0, val in zip(starts, full(starts)) if val is not None]
         for _, z0, c0 in sorted(ranked, key=lambda t: t[0]):
             found = newton(z0, c0)
             if found is not None:

@@ -264,8 +264,9 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
         Singular divisor, or 1 in the support (the angle recursion has
         no consistent convention there).
     NumericalError
-        Preimage collisions or a monotonicity violation, both of which
-        mean the float geometry can no longer order the combinatorics.
+        Preimage collisions, a level that adds other than ``l^lv -
+        l^(lv-1)`` entries, or a monotonicity violation, all of which mean
+        the float geometry can no longer order the combinatorics.
     """
     if D.l < 2:
         raise PreconditionError("lamination needs a regular divisor (l >= 2)")
@@ -308,6 +309,12 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
         known = ((np.abs(cz - opts[pos - 1]) <= COLLISION_TOL)
                  | (np.abs(cz - opts[pos % len(order)]) <= COLLISION_TOL))
         cz, ct, cpar, pos = cz[~known], ct[~known], cpar[~known], pos[~known]
+        # B^-lv(1) has l^lv points, and B^-(lv-1)(1) is among them
+        if len(cz) != (B.degree - 1) * len(order):
+            raise NumericalError(
+                f"level {lv} adds {len(cz)} entries, not "
+                f"{(B.degree - 1) * len(order)}: floats no longer tell its "
+                "preimages from the entries")
         if len(cz) > 1 and np.any(
                 np.abs(cz - np.roll(cz, 1)) <= COLLISION_TOL):
             raise NumericalError("two preimages collide on the circle")

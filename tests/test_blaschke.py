@@ -630,6 +630,46 @@ def test_critical_divisor_failure_is_not_stored(aberth_calls, monkeypatch):
     assert solves == 1 and len(aberth_calls) == 2 * solves
 
 
+def test_stacked_map_equals_one_map_per_product(aberth_calls):
+    rng = np.random.default_rng(2510)
+    inputs = [(random_zeros(rng, e, 0.95), m)
+              for e in (1, 2, 3, 5, 8, 13) for m in (1, 2, 3)
+              for _ in range(3)]
+    inputs += [
+        (interior_divisor([0, 0.3 + 0.1j, -0.5j]), 1),           # a zero at 0
+        (Divisor([(0.4 + 0.2j, 2), (-0.3 + 0j, 1)], "interior"), 1),
+        (interior_divisor([2.2250738585e-313]), 1),  # fails, beside e = 1
+        (Divisor([], "interior"), 2),                # e = 0, never solved
+    ]
+    stacked = blaschke._critical_divisors(
+        [from_zero_divisor(Z, m) for Z, m in inputs])
+    # one run per (e, m): the zero at 0 joins the two distinct zeros of
+    # local degree 2 at 0, the double zero those of m = 1, and the
+    # subnormal zero the e = 1, m = 1 run
+    assert len(aberth_calls) == 6 * 3
+    assert sum(len(a) for a, _, _ in aberth_calls) == 6 * 3 * 3 + 3
+    for (Z, m), got in zip(inputs, stacked):
+        try:
+            want = critical_divisor(from_zero_divisor(Z, m))
+        except (NumericalError, PreconditionError) as exc:
+            assert type(got) is type(exc)
+            continue
+        assert matching_distance(got.free_ram, want.free_ram) <= 1e-15
+        assert got.residual_count == want.residual_count
+
+
+def test_stacked_map_stores_each_result(aberth_calls):
+    products = [from_zero_divisor(interior_divisor([0.3, 0.5j]), 1),
+                from_zero_divisor(interior_divisor([0.2, -0.6j]), 1)]
+    first = blaschke._critical_divisors(products)
+    assert len(aberth_calls) == 1
+    for B, result in zip(products, first):
+        assert critical_divisor(B).free_ram == result.free_ram
+    assert blaschke._critical_divisors(products)[1].free_ram == \
+        first[1].free_ram
+    assert len(aberth_calls) == 1
+
+
 @pytest.mark.parametrize("name", ["m", "free_zeros", "normalization"])
 def test_product_attributes_are_read_only(name):
     B = from_zero_divisor(interior_divisor([0.6]), 1)

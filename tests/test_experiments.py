@@ -14,10 +14,11 @@ import pytest
 from blaschkediv import (BoundaryDivisor, Divisor, NumericalError,
                          PreconditionError, SweepConfig, critical_divisor,
                          divisor_to_json, extend_phi, from_zero_divisor,
-                         hyp_dist, multiplier_limit_check, prescribe_distance,
+                         hyp_dist, matching_distance, multiplier_limit_check,
+                         prescribe_distance,
                          sample_neighborhood, verify_cont_orbit,
                          verify_extension_convergence)
-from blaschkediv import experiments
+from blaschkediv import blaschke, experiments
 
 
 def turn(t: float) -> complex:
@@ -104,6 +105,15 @@ def test_sample_neighborhood_deterministic():
     assert first.atoms == second.atoms
 
 
+def test_sample_neighborhood_wide_eps_draws_from_the_disk(deadline):
+    # eps >= 2 covers the whole disk from every atom; drawing about the
+    # atom would take about eps**2 = 1e10 tries per atom
+    D = make_boundary([0.6], 1, [(0.25, 1)])
+    sample = sample_neighborhood(D, 1, 1e5, np.random.default_rng(5))
+    assert sample.degree == 2
+    assert all(abs(z) < 1.0 - 1e-12 for z in sample.points())
+
+
 def test_sample_neighborhood_rejections():
     D = make_boundary([0.6], 1, [(0.25, 1)])
     rng = np.random.default_rng(0)
@@ -152,6 +162,36 @@ def test_extension_sweep_interior_control():
     assert rows[1]["max_distance"] < rows[0]["max_distance"]
 
 
+@pytest.fixture
+def aberth_rows(monkeypatch) -> list:
+    """Record the number of stacked products of each ``_aberth`` run."""
+    rows, aberth = [], blaschke._aberth
+
+    def counted(a, mu, m):
+        rows.append(len(a))
+        return aberth(a, mu, m)
+
+    monkeypatch.setattr(blaschke, "_aberth", counted)
+    return rows
+
+
+def test_extension_sweep_maps_each_epsilon_in_one_run(aberth_rows):
+    D = make_boundary([0.6], 1, [(0.25, 1)])
+    cfg = SweepConfig([1e-2, 1e-3], 8, 5)
+    report = verify_extension_convergence(D, 1, cfg)
+    # the target's own forward map, then one run per epsilon
+    assert aberth_rows == [1, 8, 8]
+    # the same samples mapped one by one give the same rows
+    rng = np.random.default_rng(cfg.rng_seed)
+    target = extend_phi(D, 1)
+    for eps, row in zip(cfg.epsilons, report["profile"]):
+        dists = [matching_distance(critical_divisor(from_zero_divisor(
+            sample_neighborhood(D, 1, eps, rng), 1)).free_ram.with_region(
+                "closed"), target) for _ in range(8)]
+        assert abs(row["max_distance"] - max(dists)) <= 1e-12
+        assert abs(row["mean_distance"] - sum(dists) / 8) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # orbit continuity through the newborn critical point
 
@@ -176,6 +216,15 @@ def test_orbit_reference_profile():
         assert row["distance"] >= 0.0
         assert row["circle_distance"] >= 0.0
     assert rows[1]["distance"] < rows[0]["distance"]
+
+
+def test_orbit_schedule_is_one_run_checked_before_it(aberth_rows):
+    D, q = orbit_reference(), turn(1.0 / 3.0)
+    verify_cont_orbit(D, q, 1, [10, 100, 1000])
+    assert aberth_rows == [3]
+    with pytest.raises(PreconditionError):
+        verify_cont_orbit(D, q, 1, [100, 1000, 1])
+    assert aberth_rows == [3]
 
 
 def test_orbit_fixed_point_needs_single_application():
@@ -229,6 +278,14 @@ def nearest_critical_point(B, q: complex) -> complex:
     if len(ranked) >= 2:
         assert abs(ranked[1] - q) >= 2.0 * abs(ranked[0] - q)
     return ranked[0]
+
+
+def test_prescribe_ranks_the_five_starts_in_one_run(aberth_rows):
+    cert = prescribe_distance(orbit_reference(), turn(1.0 / 3.0), 1, 1.0,
+                              eps=0.2)
+    # then one run for the basin check of the root Newton found
+    assert aberth_rows == [5, 1]
+    assert cert.residual <= 1e-6
 
 
 @pytest.mark.parametrize("L", [0.0, 1.0])

@@ -340,6 +340,17 @@ def test_coinciding_candidates_raise(monkeypatch):
         lamination_table(reference_divisor(), 3)
 
 
+def test_level_short_of_entries_raises():
+    # a level-5 preimage lies 8.4e-13 from a level-4 entry, within the
+    # collision tolerance, so it passed for that entry and the table came
+    # out one entry short of 4**5 = 1024
+    D = make_boundary([0.698817615135042 + 0.7139012121974386j,
+                       0.9989378816358974 + 0.01114040541388548j], 2, [])
+    assert len(lamination_table(D, 4)) == 4 ** 4
+    with pytest.raises(NumericalError, match="level 5 adds 767 entries"):
+        lamination_table(D, 5)
+
+
 def test_entry_near_finds_every_entry():
     table = lamination_table(
         boundary_from_json({"m": 3, "support": ["1/3", "2/3"]}), 6)
