@@ -15,11 +15,13 @@ polynomial coefficients; only the lamination's preimage solve does.  The
 inverse solves for the zeros themselves by Newton's method on the
 conditions that the partial-fraction form of ``B'/B`` vanish at the
 prescribed points (with multiplicity), continued along one slightly
-turned path to the target and checked by one forward map; its
-``newton_tol`` bounds each condition's residual relative to the sum of
-the moduli of its terms.  A multiple zero, whose critical atom the
-conditions cannot see, is fixed exactly once the tracked zeros collapse
-onto it.
+turned path to the target and checked by one forward map, whose Aberth
+run starts at the prescribed points instead of the seeds (the copies of
+a repeated point spread on a small circle about it) and whose points
+pass the same checks; its ``newton_tol`` bounds each condition's
+residual relative to the sum of the moduli of its terms.  A multiple
+zero, whose critical atom the conditions cannot see, is fixed exactly
+once the tracked zeros collapse onto it.
 """
 
 from __future__ import annotations
@@ -225,7 +227,8 @@ def _deriv(a: np.ndarray, mu: np.ndarray, m: int, norm: np.ndarray,
             abs(mv), abs(mpq) + abs(z) * (abs(others) @ w)[..., 0])
 
 
-def _aberth(a: np.ndarray, mu: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
+def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
+            start: Optional[np.ndarray] = None) -> tuple[np.ndarray, bool]:
     """Up to ``_ABERTH_STEPS`` Aberth steps, on each row ``i`` of the
     ``(k, d)`` stacks ``a`` and ``mu`` at once, on the interior roots of
     ``F = f prod_k g_k``, ``f = m + z sum_k mu_k w_k/g_k``, with
@@ -235,11 +238,16 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
     roots ``1/conj(z_j)`` deflated.  A step is written ``f/(f' + f S)``,
     ``S`` being ``sum_k g_k'/g_k`` less the deflation, so it is 0 where
     ``f`` is (where ``1/(f'/f + S)`` is not finite); non-finite steps are
-    not taken.  The start for ``a_k`` is the critical point of the
-    one-zero product ``z^(m+d-1) (z-a_k)/(1-conj(a_k)z)``, as if the
-    other zeros sat at the origin, turned about ``a_k`` by ``_TURN``;
-    about the zero, since near the circle the root is within
-    ``sqrt(1-|a_k|)`` of it.  The rows are independent problems stepped
+    not taken.  The run starts at the ``(k, d)`` points ``start`` if
+    given, which must not repeat within a row (``1/(z_i-z_j)`` is then
+    not finite and the copies never part); by default the start for
+    ``a_k`` is the critical point of the one-zero product
+    ``z^(m+d-1) (z-a_k)/(1-conj(a_k)z)``, as if the other zeros sat at
+    the origin, turned about ``a_k`` by ``_TURN``; about the zero, since
+    near the circle the root is within ``sqrt(1-|a_k|)`` of it.  Aberth
+    is a local method, so a start near the roots saves steps and changes
+    nothing else: a converged run holds ``d`` roots of ``F`` wherever it
+    began.  The rows are independent problems stepped
     together until every step of every row falls below ``_ABERTH_TOL *
     |z|``; a row that has converged keeps taking its (vanishing) steps.
     Returns the ``(k, d)`` points and whether that happened."""
@@ -252,8 +260,9 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
     mw = (mu * (1.0 - aa)).astype(complex)[:, :, None]
     ones = np.ones(d, complex)
     # the points as columns zc, and the same memory as rows zr
-    zc = (a + (_one_zero_critical(a, m + d - 1) - a)
-          * np.exp(1j * _TURN))[:, :, None]
+    if start is None:
+        start = a + (_one_zero_critical(a, m + d - 1) - a) * np.exp(1j * _TURN)
+    zc = np.array(start, complex).reshape(k, d, 1)
     zr = zc.reshape(k, 1, d)
     # 1/g_k in the first d rows of a block and the terms of f' in the
     # last d, so that one @ takes both weighted sums
@@ -318,15 +327,17 @@ def _checked(a: np.ndarray, mu: np.ndarray, m: int, norm: np.ndarray,
                for ok, w, r in zip(good.all(axis=1), abs(dv).max(axis=1), res)]
 
 
-def _critical_divisors(products: list[BlaschkeProduct]) -> list:
+def _critical_divisors(products: list[BlaschkeProduct],
+                       starts: Optional[list] = None) -> list:
     """The forward map of several products at once: for each, the
     ``RamificationResult`` that ``critical_divisor`` returns or the error
     it raises.  Products that share the number ``d`` of distinct nonzero
     free zeros and the local degree at 0 take one ``_aberth`` run and one
     ``_checked`` call, as one ``(k, d)`` stack; a product that fails does
-    not keep the others of its stack from their results.  Each success is
-    stored on its product, and a product that has one is not solved
-    again."""
+    not keep the others of its stack from their results.  ``starts``, if
+    given, holds for each product the ``d`` points its run starts from
+    in place of the closed-form seeds.  Each success is stored on its
+    product, and a product that has one is not solved again."""
     out: list = [None] * len(products)
     groups: dict[tuple[int, int], list] = {}
     for i, B in enumerate(products):
@@ -353,7 +364,9 @@ def _critical_divisors(products: list[BlaschkeProduct]) -> list:
         a = np.array([[z for z, _ in nz] for _, nz, _ in members])
         mu = np.array([[k for _, k in nz] for _, nz, _ in members])
         norm = np.array([products[i].normalization for i, _, _ in members])
-        z, failures = _checked(a, mu, m, norm, _aberth(a, mu, m)[0])
+        z = (_aberth(a, mu, m) if starts is None else _aberth(
+            a, mu, m, np.array([starts[i] for i, _, _ in members])))[0]
+        z, failures = _checked(a, mu, m, norm, z)
         for (i, nonzero, atoms), row, failure in zip(members, z, failures):
             if failure:
                 out[i] = NumericalError(failure)
@@ -547,7 +560,17 @@ def zeros_from_critical(R: Divisor, m: int,
     a ``k``-fold root of ``f`` or a ``(k+1)``-fold zero; the latter stalls
     the path near ``t = 1`` with ``k+1`` zeros collapsing onto ``t*c``
     and is then fixed.  As the critical divisor determines the product,
-    one forward map checks the result.
+    one forward map checks the result, and its result is stored on the
+    product.  Its ``_aberth`` run starts at the points of ``R``, each
+    repeated by its multiplicity, less the atoms of fixed zeros (their
+    critical atoms ``k*c`` are exact); the ``k`` copies of an atom
+    ``k*c``, ``k >= 2``, start on a circle of radius 1e-4 about ``c``,
+    since copies that start on one another never part.  If zeros merged
+    at ``MERGE_TOL``, so that the count differs from the number of
+    distinct nonzero zeros, it starts at the seeds.  The start saves
+    steps only: the points must still pass every test of
+    ``critical_divisor``, and then lie within 1e-7 of ``R`` in
+    ``matching_distance``.
 
     Raises
     ------
@@ -580,7 +603,16 @@ def zeros_from_critical(R: Divisor, m: int,
             raise ContinuationError(f"continuation stalled at t = {t:.6g}", t)
     B = BlaschkeProduct(Divisor(solved + [(0j, mu0)] * (mu0 > 0),
                                 REGION_INTERIOR), m)
-    check = matching_distance(critical_divisor(B).free_ram, R)
+    fixed = {c for c, k in solved if k > 1}
+    start = [c + 1e-4 * np.exp(1j * (_TURN + 2.0 * np.pi * np.arange(k) / k))
+             if k > 1 else [c] for c, k in atoms if c not in fixed]
+    start = np.concatenate(start) if start else []
+    # from the seeds if zeros merged at MERGE_TOL
+    d = sum(z != 0 for z, _ in B.free_zeros.atoms)
+    (result,) = _critical_divisors([B], [start] if len(start) == d else None)
+    if isinstance(result, Exception):
+        raise result
+    check = matching_distance(result.free_ram, R)
     if check > 1e-7:
         raise NumericalError(
             f"inverse verification failed: round trip off by {check:.3g}")

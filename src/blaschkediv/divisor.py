@@ -53,7 +53,7 @@ __all__ = [
 
 def _merge_atoms(atoms: Iterable[tuple[complex, int]]) -> list[tuple[complex, int]]:
     """Cluster atoms at MERGE_TOL and return multiplicity-weighted
-    centroids, canonically sorted."""
+    centroids (a lone atom's own point), canonically sorted."""
     items = [(complex(z), int(m)) for z, m in atoms]
     for _, m in items:
         if m <= 0:
@@ -79,7 +79,9 @@ def _merge_atoms(atoms: Iterable[tuple[complex, int]]) -> list[tuple[complex, in
     merged = []
     for members in clusters.values():
         total = sum(m for _, m in members)
-        centroid = sum(z * m for z, m in members) / total
+        # a lone atom keeps its point: z*m/m can differ from z by an ulp
+        centroid = (members[0][0] if len(members) == 1 else
+                    sum(z * m for z, m in members) / total)
         merged.append((centroid, total))
     merged.sort(key=lambda t: (t[0].real, t[0].imag))
     return merged
@@ -228,13 +230,19 @@ def matching_distance(D1: Divisor, D2: Divisor) -> float:
     Notes
     -----
     Every point must be matched, so the answer is at least the largest
-    row or column minimum of the distance matrix.  The radii at or
-    above that lower bound are bisected, the bound itself first.  A
-    radius is feasible when the edges no longer than it carry a perfect
-    matching, found by Kuhn's augmenting paths (Kuhn, Naval Res. Logist.
-    Q. 2, 1955).  Each probe gives up at the first row that cannot be
-    augmented: were there a perfect matching, its symmetric difference
-    with the current one would hold an augmenting path from that row.
+    row or column minimum of the distance matrix.  When the rows'
+    nearest columns are all distinct, they form a matching whose
+    bottleneck is the largest row minimum, and each column minimum is
+    at most that; so the lower bound is met and is returned at once,
+    the same float the search below returns, as it tests the bound
+    first.  Otherwise (ties and repeated points make rows share a
+    nearest column) the radii at or above the lower bound are bisected,
+    the bound itself first.  A radius is feasible when the edges no
+    longer than it carry a perfect matching, found by Kuhn's augmenting
+    paths (Kuhn, Naval Res. Logist. Q. 2, 1955).  Each probe gives up at
+    the first row that cannot be augmented: were there a perfect
+    matching, its symmetric difference with the current one would hold
+    an augmenting path from that row.
     """
     if D1.degree != D2.degree:
         raise PreconditionError(
@@ -247,7 +255,11 @@ def matching_distance(D1: Divisor, D2: Divisor) -> float:
         return 0.0
     dist = np.abs(np.subtract.outer(np.asarray(a, dtype=complex),
                                     np.asarray(b, dtype=complex)))
-    lb = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    nearest = dist.argmin(axis=1)
+    lb = dist[np.arange(n), nearest].max()
+    if len(set(nearest.tolist())) == n:
+        return float(lb)
+    lb = max(lb, dist.min(axis=0).max())
     radii = np.unique(dist[dist >= lb])
     order = np.argsort(dist, axis=1, kind="stable").tolist()
 

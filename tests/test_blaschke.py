@@ -572,8 +572,95 @@ def test_critical_divisor_reuses_the_inverse_check(aberth_calls):
     assert first is not second and first.free_ram == second.free_ram
     fresh = critical_divisor(BlaschkeProduct(B.free_zeros, B.m))
     assert len(aberth_calls) == 1
-    assert first.free_ram.atoms == fresh.free_ram.atoms
+    # the inverse's run starts at R and a cold one at the seeds, so the
+    # points agree to rounding, not always bit for bit
+    assert matching_distance(first.free_ram, fresh.free_ram) <= 1e-12
     assert first.residual_count == fresh.residual_count == 2
+
+
+def test_inverse_check_starts_at_R(aberth_calls):
+    # the inverse's one forward map runs from the points of R, and the
+    # divisor it stores agrees with a cold run from the seeds
+    rng = np.random.default_rng(2601)
+    for radius in (0.7, 0.9):
+        for e in range(1, 13):
+            for m in (1, 2, 3):
+                Z = random_zeros(rng, e, radius)
+                R = critical_divisor(from_zero_divisor(Z, m)).free_ram
+                aberth_calls.clear()
+                B = zeros_from_critical(R, m)
+                ((_, _, _, start),) = aberth_calls
+                assert matching_distance(Divisor(
+                    [(z, 1) for z in start[0]], "interior"), R) == 0.0
+                fresh = critical_divisor(BlaschkeProduct(B.free_zeros, m))
+                assert matching_distance(critical_divisor(B).free_ram,
+                                         fresh.free_ram) <= 1e-12
+
+
+def moved_zeros(monkeypatch, shift: float) -> None:
+    """Make the inverse's continuation return every zero moved by
+    ``shift``, as a wrong solve would."""
+    track = blaschke._continue_zeros
+
+    def moved(*args):
+        a, t, done = track(*args)
+        return a + shift, t, done
+
+    monkeypatch.setattr(blaschke, "_continue_zeros", moved)
+
+
+@pytest.mark.parametrize("double", [False, True])
+def test_inverse_check_started_at_R_rejects_moved_zeros(double, monkeypatch):
+    # the run leaves R for the roots of the product it checks, so zeros
+    # 1e-4 off fail in the matching, not in the critical-point test
+    R = (Divisor([(0.3 + 0.1j, 2), (-0.5j, 1)], "interior") if double else
+         critical_divisor(from_zero_divisor(interior_divisor(
+             [0.3, 0.2 + 0.4j, -0.5 - 0.1j]), 2)).free_ram)
+    moved_zeros(monkeypatch, 1e-4)
+    with pytest.raises(NumericalError, match="round trip off"):
+        zeros_from_critical(R, 1)
+
+
+def test_inverse_check_spreads_a_repeated_atom(aberth_calls):
+    R = Divisor([(0.3 + 0.1j, 2), (-0.5j, 1)], "interior")
+    zeros_from_critical(R, 1)
+    ((_, _, _, start),) = aberth_calls
+    near = sorted(abs(start[0] - (0.3 + 0.1j)))
+    assert near[0] == near[1] == pytest.approx(1e-4, rel=1e-9)
+    assert near[2] > 0.5
+
+
+@pytest.mark.parametrize("atoms, m, verdict", [
+    ([(0.3 + 0.1j, 2), (-0.5j, 1)], 1, None),
+    ([(0j, 2), (0.4 + 0.2j, 1)], 1, None),
+    ([(0j, 2), (0.3 + 0.1j, 2), (-0.5j, 1)], 2, None),
+    ([(0.5 + 0j, 3)], 1, NumericalError)])
+def test_inverse_verdicts_on_multiple_atoms(atoms, m, verdict):
+    # a triple critical atom splits by about eps^(1/3) in the forward
+    # map, past the 1e-7 check
+    R = Divisor(atoms, "interior")
+    if verdict:
+        with pytest.raises(verdict, match="round trip off"):
+            zeros_from_critical(R, m)
+    else:
+        B = zeros_from_critical(R, m)
+        assert matching_distance(critical_divisor(B).free_ram, R) <= 1e-7
+
+
+def test_inverse_check_skips_a_fixed_zero_atom(aberth_calls):
+    # the double zero's critical atom 1*double is exact, so the run
+    # starts at the simple atoms only
+    Z = Divisor([(0.3 + 0.1j, 2), (-0.5j, 1)], "interior")
+    R = critical_divisor(from_zero_divisor(Z, 1)).free_ram
+    aberth_calls.clear()
+    B = zeros_from_critical(R, 1)
+    ((_, _, _, start),) = aberth_calls
+    assert len(start[0]) == 2
+    assert matching_distance(Divisor([(z, 1) for z in start[0]], "interior"),
+                             Divisor([(c, k) for c, k in R.atoms
+                                      if abs(c - (0.3 + 0.1j)) > 1e-12],
+                                     "interior")) == 0.0
+    assert matching_distance(critical_divisor(B).free_ram, R) <= 1e-8
 
 
 def test_aberth_converges_on_real_zeros(monkeypatch):

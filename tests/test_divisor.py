@@ -62,6 +62,17 @@ def test_merge_of_nearby_atoms():
     assert z == pytest.approx(0.5 + 0.5e-12, abs=1e-15)
 
 
+def test_lone_atom_keeps_its_point():
+    # z*3/3 is not z for about one point in seven; a lone atom is no
+    # centroid, so its point passes through as given
+    rng = np.random.default_rng(2602)
+    points = [complex(x, y) for x, y in rng.uniform(-0.7, 0.7, (2000, 2))]
+    assert any(z * 3 / 3 != z for z in points)
+    for z in points:
+        for m in (1, 2, 3, 7):
+            assert Divisor([(z, m)], "interior").atoms[0][0] == z
+
+
 def test_add_merges_equal_atoms():
     a = Divisor([(0.4 + 0.1j, 1)], "interior")
     total = add(a, a)
@@ -193,6 +204,17 @@ def test_matching_distance_with_ties_and_multiplicities():
     d2 = Divisor([(0.25 + 0j, 2), (-0.25 + 0j, 1)], "interior")
     assert matching_distance(d1, d2) == 0.25
     assert brute_force_on_matrix(d1, d2) == 0.25
+
+
+def test_matching_distance_past_the_nearest_columns():
+    # both rows are nearest to 0.1, so their nearest columns are no
+    # matching; the answer 0.9 exceeds the largest row minimum 0.4
+    d1 = Divisor([(0j, 1), (0.5 + 0j, 1)], "interior")
+    d2 = Divisor([(0.1 + 0j, 1), (0.9j, 1)], "interior")
+    dist = distance_matrix(d1, d2)
+    assert len(set(dist.argmin(axis=1).tolist())) == 1
+    assert dist.min(axis=1).max() == pytest.approx(0.4, abs=1e-15)
+    assert matching_distance(d1, d2) == brute_force_on_matrix(d1, d2) == 0.9
 
 
 def near_and_far_pairs(n: int):
