@@ -40,11 +40,15 @@ POLE_TOL = 1e-14
 #: Largest ``|B'|`` accepted at a computed free critical point, checked
 #: apart from the kernel that found it (a double critical point splits
 #: by about sqrt(eps) and never converges in step size, yet passes).
+#: ``_checked`` takes it as ``|z|^(m-1) |f| prod_k |phi_k|``, which is
+#: ``|B'|`` since ``M = f prod_k g_k``.
 CRIT_TOL = 1e-6
 #: Bound on ``|M|`` at a computed free critical point, relative to the
 #: sum of the moduli of the terms of the factored numerator ``M`` of
 #: ``B'``: 5.4e-14 at most on 2160 seeded draws up to e = 24, and 1 at a
-#: point that is no root, where ``|B'|`` alone can be tiny.
+#: point that is no root, where ``|B'|`` alone can be tiny.  Dividing
+#: both by ``prod_k |g_k|`` gives the ratio ``_checked`` takes, ``|f|/(m
+#: + |z| sum_k mu_k w_k/|g_k|)``.
 _RESIDUAL_TOL = 1e-8
 #: Aberth iterations allowed to the forward map (about 5 typical, 15 the
 #: most seen up to e = 24) and the relative step that counts as converged.
@@ -159,10 +163,8 @@ class BlaschkeProduct:
         ``NumericalError`` near a pole, as ``eval`` does."""
         z = complex(z)
         self._check_pole(z)
-        return complex(_deriv(np.array([self._zeros], complex),
-                              np.ones((1, self.e)), self.m,
-                              np.array([self.normalization]),
-                              np.array([[z]]))[0][0, 0])
+        return _deriv(np.array(self._zeros, complex), self.m,
+                      self.normalization, z)
 
     def __repr__(self) -> str:
         return (f"BlaschkeProduct(m={self.m}, "
@@ -198,33 +200,20 @@ def from_zero_divisor(Z: Divisor, m: int) -> BlaschkeProduct:
     return BlaschkeProduct(Z, m)
 
 
-def _deriv(a: np.ndarray, mu: np.ndarray, m: int, norm: np.ndarray,
-           z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``B'/prod_k phi_k^(mu_k-1)`` at the points ``z[i]`` of the product
-    ``B = norm[i] z^m prod_k phi_k^mu_k``, ``phi_k = (z-a_k)/(1-conj(a_k)z)``,
-    for each row ``i`` of the ``(k, d)`` stacks of zeros ``a`` and
-    multiplicities ``mu``: ``B'`` itself when every ``mu_k`` is 1, and
-    zero at the same free critical points otherwise.  It is ``n z^(m-1)
-    M/Q^2`` (``m z^(m-1)`` when ``d = 0``) with ``Q = prod_k
+def _deriv(a: np.ndarray, m: int, norm: complex, z: complex) -> complex:
+    """``B'(z)`` for ``B = norm z^m prod_k phi_k``, ``phi_k =
+    (z-a_k)/(1-conj(a_k)z)`` over the zeros ``a`` (each repeated by its
+    multiplicity), as ``norm z^(m-1) M/Q^2`` with ``Q = prod_k
     (1-conj(a_k)z)`` and the factored numerator ``M = m prod_k g_k + z
-    sum_k mu_k w_k prod_(j!=k) g_j`` of ``_aberth``'s ``F``, which keeps
-    the relative accuracy that expanded coefficients lose at high degree;
-    also returns ``|M|`` and the sum of the moduli of its terms, which
-    ``|M|`` nearly reaches at a point that is no root however small
-    ``B'`` is there."""
-    zc = z[:, :, None]
-    h = 1.0 - a.conjugate()[:, None, :] * zc
-    g = (zc - a[:, None, :]) * h
+    sum_k w_k prod_(j!=k) g_j`` of ``_aberth``'s ``F``: exact at the zeros
+    of ``B``, where logarithmic differentiation breaks down."""
+    h = 1.0 - a.conjugate() * z
+    g = (z - a) * h
     # prod_(j!=k) g_j as the products of the factors before and after k
-    ones = np.ones(z.shape + (1,))
-    others = (np.cumprod(np.concatenate((ones, g), axis=2), axis=2)[..., :-1]
-              * np.cumprod(np.concatenate((ones, g[..., ::-1]), axis=2),
-                           axis=2)[..., -2::-1])
-    w = (mu * (1.0 - abs(a) ** 2))[:, :, None]
-    mpq = m * g.prod(axis=2)
-    mv = mpq + z * (others @ w)[..., 0]
-    return (norm[:, None] * z ** (m - 1) * mv / h.prod(axis=2) ** 2,
-            abs(mv), abs(mpq) + abs(z) * (abs(others) @ w)[..., 0])
+    others = (np.cumprod(np.concatenate(([1.0], g)))[:-1]
+              * np.cumprod(np.concatenate(([1.0], g[::-1])))[-2::-1])
+    mv = m * g.prod() + z * (others @ (1.0 - abs(a) ** 2))
+    return complex(norm * z ** (m - 1) * mv / h.prod() ** 2)
 
 
 def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
@@ -306,25 +295,37 @@ def _one_zero_critical(a, m: int):
                                                  0.0)))
 
 
-def _checked(a: np.ndarray, mu: np.ndarray, m: int, norm: np.ndarray,
+def _checked(a: np.ndarray, mu: np.ndarray, m: int,
              z: np.ndarray) -> tuple[np.ndarray, list[Optional[str]]]:
     """The ``(k, d)`` points ``z`` with those outside the disk reflected
     (onto roots of ``F`` too), and for each row why its points fail as
-    free critical points of the product of ``_deriv``, or ``None`` if
-    they pass."""
+    free critical points of the product of zeros ``a`` with multiplicities
+    ``mu``, or ``None`` if they pass.  The tests take the factored
+    numerator ``M = f prod_k g_k`` of ``B'`` through ``_aberth``'s ``f =
+    m + z sum_k mu_k w_k/g_k``: the relative residual of ``M`` is ``|f|/(m
+    + |z| sum_k mu_k w_k/|g_k|)``, and ``|B'/prod_k phi_k^(mu_k-1)| =
+    |z^(m-1) M/Q^2|`` is ``|z|^(m-1) |f| prod_k |phi_k|``, so no product
+    over the other zeros is formed."""
     z = np.divide(1.0, z.conjugate(), out=z, where=abs(z) > 1.0)
-    dv, m_abs, m_terms = _deriv(a, mu, m, norm, z)
-    # strict, so that a point where M and all its terms vanish fails too
-    good = ((abs(dv) <= CRIT_TOL) & (m_abs < _RESIDUAL_TOL * m_terms)
-            & (abs(z) < 1.0))
+    zc = z[:, :, None]
+    u = zc - a[:, None, :]
+    h = 1.0 - a.conjugate()[:, None, :] * zc
+    w = (mu * (1.0 - abs(a) ** 2))[:, :, None]
+    mod = abs(z)
+    with np.errstate(all="ignore"):
+        r = 1.0 / (u * h)
+        f = abs(m + z * (r @ w)[..., 0])
+        res = f / (m + mod * (abs(r) @ w)[..., 0])
+        dv = mod ** (m - 1) * f * abs(u / h).prod(axis=2)
+    # f is not finite at a zero, where every test then fails
+    good = (dv <= CRIT_TOL) & (res < _RESIDUAL_TOL) & (mod < 1.0)
     if good.all():
         return z, [None] * len(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        res = (m_abs / m_terms).max(axis=1)
     return z, [None if ok else
-               f"a computed critical point has |B'| = {w:.3g}, relative "
-               f"residual {r:.3g}, or lies outside the disk"
-               for ok, w, r in zip(good.all(axis=1), abs(dv).max(axis=1), res)]
+               f"a computed critical point has |B'| = {d:.3g}, relative "
+               f"residual {q:.3g}, or lies outside the disk"
+               for ok, d, q in zip(good.all(axis=1), dv.max(axis=1),
+                                   res.max(axis=1))]
 
 
 def _critical_divisors(products: list[BlaschkeProduct],
@@ -363,10 +364,9 @@ def _critical_divisors(products: list[BlaschkeProduct],
     for (_, m), members in groups.items():
         a = np.array([[z for z, _ in nz] for _, nz, _ in members])
         mu = np.array([[k for _, k in nz] for _, nz, _ in members])
-        norm = np.array([products[i].normalization for i, _, _ in members])
         z = (_aberth(a, mu, m) if starts is None else _aberth(
             a, mu, m, np.array([starts[i] for i, _, _ in members])))[0]
-        z, failures = _checked(a, mu, m, norm, z)
+        z, failures = _checked(a, mu, m, z)
         for (i, nonzero, atoms), row, failure in zip(members, z, failures):
             if failure:
                 out[i] = NumericalError(failure)
@@ -389,7 +389,9 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     must then pass ``|B'| <= CRIT_TOL`` (``B'`` divided by
     ``phi_k^(mu_k-1)`` for a multiple zero ``mu_k*a_k``, which only makes
     it larger) and ``|M| < _RESIDUAL_TOL`` times the sum of the moduli of
-    the terms of the factored numerator ``M``, both by ``_deriv``.  This
+    the terms of the factored numerator ``M``.  Both are taken in the
+    partial-fraction form ``f`` of ``M = f prod_k g_k`` (``_checked``):
+    the same quantities, without products over the other zeros.  This
     is the one-product call of the stacked map ``_critical_divisors``,
     through which the experiments map many products of one shape in one
     run.
@@ -647,12 +649,17 @@ def boundary_orbit(B: BlaschkeProduct, q: complex, n: int) -> list[complex]:
 
     Each iterate is renormalized to unit modulus to stop drift from
     accumulating over long orbits.
+
+    Raises
+    ------
+    PreconditionError
+        If ``q`` is off the circle or ``n`` is not a nonnegative integer.
     """
     q = complex(q)
     if abs(abs(q) - 1.0) > CIRCLE_TOL:
         raise PreconditionError("boundary_orbit needs a unit-modulus point")
-    if n < 0:
-        raise PreconditionError("orbit length must be nonnegative")
+    if not isinstance(n, int) or n < 0:
+        raise PreconditionError("orbit length must be a nonnegative integer")
     orbit = [q / abs(q)]
     for _ in range(n):
         w = B.eval(orbit[-1])
@@ -663,7 +670,14 @@ def boundary_orbit(B: BlaschkeProduct, q: complex, n: int) -> list[complex]:
 def walsh_check(B: BlaschkeProduct, tol: float = 1e-9) -> bool:
     """Certificate that every free critical point (and the forced one at
     the origin when ``m >= 2``) lies in the hyperbolic convex hull of the
-    zeros including the origin."""
+    zeros including the origin, inflated by ``tol`` as in
+    ``hull_contains``.
+
+    Raises
+    ------
+    PreconditionError
+        If the degree is below 2 or ``tol`` is NaN or infinite.
+    """
     if B.degree < 2:
         raise PreconditionError("walsh_check needs degree >= 2")
     generators = [0j] + B.free_zeros.points()

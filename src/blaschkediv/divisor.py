@@ -53,12 +53,33 @@ __all__ = [
 
 def _merge_atoms(atoms: Iterable[tuple[complex, int]]) -> list[tuple[complex, int]]:
     """Cluster atoms at MERGE_TOL and return multiplicity-weighted
-    centroids (a lone atom's own point), canonically sorted."""
-    items = [(complex(z), int(m)) for z, m in atoms]
-    for _, m in items:
+    centroids (a lone atom's own point), canonically sorted: when no
+    neighbours in (re, im) order are within MERGE_TOL in the real part,
+    no two atoms are within MERGE_TOL, and the sorted atoms are the
+    answer; otherwise ``_sweep_merge`` clusters them."""
+    # (re, im, input index, point, multiplicity): the index breaks ties
+    # as a stable sort by (re, im) would
+    keyed = []
+    for i, (z, m) in enumerate(atoms):
+        z, m = complex(z), int(m)
         if m <= 0:
             raise PreconditionError("multiplicities must be positive integers")
-    n = len(items)
+        keyed.append((z.real, z.imag, i, z, m))
+    keyed.sort()
+    for left, right in zip(keyed, keyed[1:]):
+        if right[0] - left[0] <= MERGE_TOL:
+            return _sweep_merge(keyed)
+    return [(z, m) for _, _, _, z, m in keyed]
+
+
+def _sweep_merge(keyed: list[tuple]) -> list[tuple[complex, int]]:
+    """The transitive clusters at MERGE_TOL of atoms sorted by real part
+    (as ``_merge_atoms`` keys them), by a sweep: each atom is joined to
+    the later ones of its real-part window that lie within MERGE_TOL
+    (the real part of ``z_j - z_i`` bounds its modulus from below, and
+    grows along the order).  A cluster of several atoms sums its
+    centroid in input order."""
+    n = len(keyed)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -68,23 +89,28 @@ def _merge_atoms(atoms: Iterable[tuple[complex, int]]) -> list[tuple[complex, in
         return i
 
     for i in range(n):
-        for j in range(i + 1, n):
-            if abs(items[i][0] - items[j][0]) <= MERGE_TOL:
+        j = i + 1
+        while j < n and keyed[j][0] - keyed[i][0] <= MERGE_TOL:
+            if abs(keyed[j][3] - keyed[i][3]) <= MERGE_TOL:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
-    clusters: dict[int, list[tuple[complex, int]]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(items[i])
+            j += 1
+    clusters: dict[int, list[tuple[int, complex, int]]] = {}
+    for s, (_, _, i, z, m) in enumerate(keyed):
+        clusters.setdefault(find(s), []).append((i, z, m))
     merged = []
     for members in clusters.values():
-        total = sum(m for _, m in members)
-        # a lone atom keeps its point: z*m/m can differ from z by an ulp
-        centroid = (members[0][0] if len(members) == 1 else
-                    sum(z * m for z, m in members) / total)
-        merged.append((centroid, total))
-    merged.sort(key=lambda t: (t[0].real, t[0].imag))
-    return merged
+        members.sort()
+        first, z, total = members[0]
+        if len(members) > 1:
+            total = sum(m for _, _, m in members)
+            z = sum(w * m for _, w, m in members) / total
+        merged.append((first, z, total))
+    # equal centroids in the order of the clusters' first atoms, as a
+    # stable sort of the clusters in input order gives
+    merged.sort(key=lambda t: (t[1].real, t[1].imag, t[0]))
+    return [(z, m) for _, z, m in merged]
 
 
 def _in_region(atoms: Iterable[tuple[complex, int]],
@@ -126,6 +152,15 @@ class Divisor:
     -----
     Divisors are immutable value objects; the empty divisor (degree 0)
     is allowed and behaves as the additive identity.
+
+    The merge is a sort and sweep: the atoms are sorted once by (re,
+    im), and when no neighbours in that order are within ``MERGE_TOL``
+    in the real part, the sorted atoms are the atoms of the divisor.
+    Otherwise each atom is compared only with the later ones of its
+    real-part window, and the transitive clusters of the pairs within
+    ``MERGE_TOL`` become atoms at their multiplicity-weighted centroids
+    (summed in input order; a lone atom keeps its point), as an
+    all-pairs clustering would give.
     """
 
     def __init__(self, atoms: Iterable[tuple[complex, int]],
@@ -331,7 +366,10 @@ def sequence_limit(seq: Sequence[Divisor], tol: float = 1e-6,
         Equal-degree divisors.
     tol : float
         Stabilization tolerance in matching distance; atoms of the
-        representative within ``tol`` of the circle snap onto it.
+        representative within ``tol`` of the circle snap onto it.  It
+        must be finite: every test against NaN fails, so a NaN would
+        declare every sequence converged, and an infinite one would
+        snap every nonzero atom onto the circle.
     window : int
         Number of trailing terms that must agree pairwise within ``tol``.
 
@@ -341,7 +379,15 @@ def sequence_limit(seq: Sequence[Divisor], tol: float = 1e-6,
         The last term, snapped to the closed disk, when the last
         ``window`` terms are pairwise within ``tol``; ``None`` when the
         sequence has not converged.
+
+    Raises
+    ------
+    PreconditionError
+        If ``window < 2``, ``tol`` is NaN or infinite, or the terms
+        differ in degree.
     """
+    if not math.isfinite(tol):
+        raise PreconditionError("sequence_limit needs a finite tol")
     if window < 2:
         raise PreconditionError("window must be at least 2")
     if len(seq) < window:

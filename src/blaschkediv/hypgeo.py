@@ -184,6 +184,8 @@ def _hull_contains_all(generators: list[complex], targets: Iterable[complex],
     the first one outside, as a chain of :func:`hull_contains` calls
     would.
     """
+    if not math.isfinite(tol):
+        raise PreconditionError("hull tolerance must be finite")
     if not generators:
         raise PreconditionError("hull_contains needs at least one generator")
     hull = _convex_hull([(k.real, k.imag)
@@ -210,12 +212,20 @@ def hull_contains(generators: list[complex], p: complex,
     tol : float
         Additive Euclidean inflation of the hull in the Klein chart.
         The default 1e-9 absorbs root-finder noise, which is Euclidean.
+        It must be finite: a NaN would fail every point and an infinite
+        one pass every one.
 
     Returns
     -------
     bool
         True when the Klein image of ``p`` is within ``tol`` of the
         Euclidean convex hull of the Klein images of the generators.
+
+    Raises
+    ------
+    PreconditionError
+        If there are no generators, ``tol`` is NaN or infinite, or a
+        point is not interior.
     """
     return _hull_contains_all(generators, (p,), tol)
 

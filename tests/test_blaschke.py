@@ -465,6 +465,70 @@ def test_critical_divisor_subnormal_zero_is_a_numerical_error():
         critical_divisor(B)
 
 
+def factored_verdicts(a, mu, m, norm, z) -> np.ndarray:
+    """Reference for ``blaschke._checked``: the same three tests on the
+    factored numerator ``M = m prod_k g_k + z sum_k mu_k w_k prod_(j!=k)
+    g_j`` of ``B'``, with the products over the other zeros by prefix
+    and suffix cumulative products, and ``B'/prod_k phi_k^(mu_k-1) =
+    norm z^(m-1) M/Q^2``; per row, whether every point passes."""
+    z = np.where(abs(z) > 1.0, 1.0 / z.conjugate(), z)
+    zc = z[:, :, None]
+    h = 1.0 - a.conjugate()[:, None, :] * zc
+    g = (zc - a[:, None, :]) * h
+    ones = np.ones(z.shape + (1,))
+    others = (np.cumprod(np.concatenate((ones, g), axis=2), axis=2)[..., :-1]
+              * np.cumprod(np.concatenate((ones, g[..., ::-1]), axis=2),
+                           axis=2)[..., -2::-1])
+    w = (mu * (1.0 - abs(a) ** 2))[:, :, None]
+    mpq = m * g.prod(axis=2)
+    mv = mpq + z * (others @ w)[..., 0]
+    dv = norm[:, None] * z ** (m - 1) * mv / h.prod(axis=2) ** 2
+    terms = abs(mpq) + abs(z) * (abs(others) @ w)[..., 0]
+    return ((abs(dv) <= blaschke.CRIT_TOL)
+            & (abs(mv) < blaschke._RESIDUAL_TOL * terms)
+            & (abs(z) < 1.0)).all(axis=1)
+
+
+def test_partial_fraction_check_matches_the_factored_form():
+    # e = 1..24 at radii up to 1 - 1e-6, every fifth draw with doubled
+    # zeros, each at the points Aberth found and moved off them
+    rng = np.random.default_rng(27)
+    verdicts = []
+    for i in range(300):
+        e, m = int(rng.integers(1, 25)), int(rng.integers(1, 4))
+        r = (0.7, 0.9, 0.999, 0.999999)[i % 4]
+        a = r * np.sqrt(rng.random(e)) * np.exp(2j * np.pi * rng.random(e))
+        mu = np.full(e, 2 if i % 5 == 0 else 1)
+        norm = np.array([from_zero_divisor(
+            Divisor(list(zip(a, mu.tolist())), "interior"), m).normalization])
+        a, mu = a[None], mu[None]
+        z, _ = blaschke._aberth(a, mu, m)
+        for move in (0.0, 1e-9, 1e-6, 1e-3):
+            moved = z * (1.0 + move * np.exp(2j * np.pi * rng.random(z.shape)))
+            with np.errstate(all="ignore"):
+                want = factored_verdicts(a, mu, m, norm, moved.copy())[0]
+            got = blaschke._checked(a, mu, m, moved.copy())[1][0] is None
+            assert got == want, (e, m, r, move)
+            verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
+    # the subnormal zero fails both forms
+    a, mu = np.array([[2.2250738585e-313 + 0j]]), np.ones((1, 1), int)
+    z, _ = blaschke._aberth(a, mu, 1)
+    with np.errstate(all="ignore"):
+        assert not factored_verdicts(a, mu, 1, np.ones(1), z.copy())[0]
+    assert blaschke._checked(a, mu, 1, z.copy())[1][0] is not None
+
+
+def test_forward_map_needs_no_factored_derivative(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_deriv called")
+
+    monkeypatch.setattr(blaschke, "_deriv", refuse)
+    B = from_zero_divisor(Divisor([(0.3 + 0.2j, 2), (-0.5j, 1)], "interior"), 2)
+    assert critical_divisor(B).free_ram.degree == 3
+    assert walsh_check(B)
+
+
 def test_critical_divisor_residual_count():
     for zeros, want in (([0, 0.3 + 0.1j], 1), ([0, 0, 0.5j], 1),
                         ([0.2, 0.4j], 2), ([0.5, 0.5, 0.5], 3)):
@@ -841,11 +905,26 @@ def test_boundary_orbit_rejects_interior_point():
         boundary_orbit(B, 0.5 + 0j, 3)
 
 
+@pytest.mark.parametrize("n", [2.5, math.nan, 3.0, "3", None])
+def test_boundary_orbit_refuses_a_non_integer_length(n):
+    B = from_zero_divisor(Divisor([], "interior"), 2)
+    with pytest.raises(PreconditionError):
+        boundary_orbit(B, 1j, n)
+
+
 def test_walsh_spot_and_power_cases():
     assert walsh_check(from_zero_divisor(interior_divisor([0.6]), 1))
     assert walsh_check(from_zero_divisor(Divisor([], "interior"), 4))
     with pytest.raises(PreconditionError):
         walsh_check(from_zero_divisor(Divisor([], "interior"), 1))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_walsh_check_refuses_a_non_finite_tol(tol):
+    # NaN used to read as a failed certificate, +inf as a vacuous pass
+    B = from_zero_divisor(interior_divisor([0.6, -0.3j]), 1)
+    with pytest.raises(PreconditionError):
+        walsh_check(B, tol)
 
 
 def test_walsh_check_equals_per_point_hull_tests():

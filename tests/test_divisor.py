@@ -377,6 +377,18 @@ def test_sequence_limit_rejects_mixed_degrees():
         sequence_limit([d1, d2, d1])
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_sequence_limit_refuses_a_non_finite_tol(tol):
+    # NaN used to declare the alternating sequence converged, and +inf
+    # to snap 0.5 onto the circle
+    d1 = Divisor([(0.5 + 0j, 1)], "interior")
+    d2 = Divisor([(-0.5 + 0j, 1)], "interior")
+    with pytest.raises(PreconditionError):
+        sequence_limit([d1, d2, d1, d2], tol=tol)
+    with pytest.raises(PreconditionError):
+        sequence_limit([d1, d1, d1], tol=tol)
+
+
 def test_sequence_limit_short_sequences_do_not_converge():
     d1 = Divisor([(0.5 + 0j, 1)], "interior")
     assert sequence_limit([d1, d1]) is None

@@ -145,6 +145,15 @@ def test_one_hull_stops_at_the_first_target_outside():
         _hull_contains_all([0j, 0.5 + 0j], [0.25 + 0j, 2.0], 1e-9)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_hull_contains_refuses_a_non_finite_tol(tol):
+    # NaN would fail every target and +inf pass every one
+    with pytest.raises(PreconditionError):
+        hull_contains([0j, 0.5 + 0j], 0.25 + 0j, tol)
+    with pytest.raises(PreconditionError):
+        _hull_contains_all([0j, 0.5 + 0j], [0.25 + 0j], tol)
+
+
 def test_hull_contains_mobius_invariance_on_geodesic_midpoints():
     # The disk point under the Klein midpoint of two generators lies on
     # their geodesic, so it stays inside the hull under any simultaneous
