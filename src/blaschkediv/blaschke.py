@@ -6,7 +6,9 @@ with ``c_k = (1 - conj(a_k))/(1 - a_k)``, so that ``B(0) = 0`` with local
 degree at least ``m`` and ``B(1) = 1``.  The free zeros ``a_k`` form an
 interior divisor of degree ``e``; the forward map sends it to the degree-e
 divisor of free critical points, by one Aberth run on the factored
-numerator of ``B'`` from closed-form one-zero seeds.  That run takes a
+numerator of ``B'`` from closed-form one-zero seeds, whose points are
+checked at the run's last evaluation, the one at which its step fell
+below the tolerance, without evaluating them again.  That run takes a
 stack of products at once: ``critical_divisor`` maps one product, and the
 experiments map all their products of one shape (the same number of
 distinct nonzero zeros and local degree at 0) in one run, each product
@@ -14,18 +16,21 @@ getting the points it would get alone.  Nothing here expands ``B`` into
 polynomial coefficients; only the lamination's preimage solve does.  The
 inverse solves for the zeros themselves by Newton's method on the
 conditions that the partial-fraction form of ``B'/B`` vanish at the
-prescribed points (with multiplicity), continued along one slightly
-turned path to the target and checked by one forward map, whose Aberth
-run starts at the prescribed points instead of the seeds (the copies of
-a repeated point spread on a small circle about it) and whose points
-pass the same checks; its ``newton_tol`` bounds each condition's
-residual relative to the sum of the moduli of its terms.  A multiple
-zero, whose critical atom the conditions cannot see, is fixed exactly
-once the tracked zeros collapse onto it.
+prescribed points (with multiplicity).  It tries the target at once
+from the roots of a small-``t`` zero polynomial, whose coefficients
+come from the Vieta recurrence, and otherwise continues along one
+slightly turned path; one forward map checks it, whose Aberth run
+starts at the prescribed points instead of the seeds (the copies of a
+repeated point spread on a small circle about it) and whose points pass
+the same checks.  Its ``newton_tol`` bounds each condition's residual
+relative to the sum of the moduli of its terms.  A multiple zero, whose
+critical atom the conditions cannot see, is fixed exactly once the
+tracked zeros collapse onto it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Optional
 
@@ -37,11 +42,12 @@ from .hypgeo import _hull_contains_all
 
 #: A denominator factor smaller than this counts as pole proximity.
 POLE_TOL = 1e-14
-#: Largest ``|B'|`` accepted at a computed free critical point, checked
-#: apart from the kernel that found it (a double critical point splits
-#: by about sqrt(eps) and never converges in step size, yet passes).
-#: ``_checked`` takes it as ``|z|^(m-1) |f| prod_k |phi_k|``, which is
-#: ``|B'|`` since ``M = f prod_k g_k``.
+#: Largest ``|B'|`` accepted at a computed free critical point.  The
+#: tests stay separate from the kernel's convergence flag (a double
+#: critical point splits by about sqrt(eps) and never converges in step
+#: size, yet passes) and are taken at exactly the points it returns, from
+#: its last evaluation there.  ``_checked`` takes it as ``|z|^(m-1) |f|
+#: prod_k |phi_k|``, which is ``|B'|`` since ``M = f prod_k g_k``.
 CRIT_TOL = 1e-6
 #: Bound on ``|M|`` at a computed free critical point, relative to the
 #: sum of the moduli of the terms of the factored numerator ``M`` of
@@ -239,7 +245,10 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
     began.  The rows are independent problems stepped
     together until every step of every row falls below ``_ABERTH_TOL *
     |z|``; a row that has converged keeps taking its (vanishing) steps.
-    Returns the ``(k, d)`` points and whether that happened."""
+    Returns the ``(k, d)`` points at which that happened (at the step cap,
+    those after the last step), whether it did, and the evaluation at
+    exactly those points that ``_checked`` reads: ``1/g_k`` at each point
+    as ``(k, d, d)`` and ``f`` as ``(k, d)``."""
     k, d = a.shape
     aa = abs(a) ** 2
     a3 = a[:, None, :]
@@ -265,12 +274,15 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
     s = np.empty(k * d, complex)
     s3 = s.reshape(k, d, 1)
     with np.errstate(all="ignore"):
-        for _ in range(_ABERTH_STEPS):
-            zb = zr.conjugate()
+        for steps in range(_ABERTH_STEPS + 1):
             acz = ac * zc
             np.divide(1.0, (zc - a3) * (1.0 - acz), out=r)
             np.multiply((acz * zc - a3) * r, r, out=fp_terms)
             np.matmul(terms, mw, out=sums)
+            f = m + zc * f_sum
+            if steps == _ABERTH_STEPS:
+                break
+            zb = zr.conjugate()
             np.subtract(zc, zr, out=gaps3)
             diagonal[...] = np.inf    # drops 1/(z_i - z_i)
             # g_k' = 1 + |a_k|^2 - 2 conj(a_k) z, and 1/(z_i - 1/conj(z_j))
@@ -278,12 +290,11 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
             np.subtract((aa1 - 2.0 * acz) * r - 1.0 / gaps3,
                         zb / (zc * zb - 1.0), out=gaps3)
             np.dot(gaps, ones, out=s)
-            f = m + zc * f_sum
             step = f / (fp_sum + f * s3)
-            np.subtract(zc, step, out=zc, where=np.isfinite(step))
             if abs(step / zc).max() <= _ABERTH_TOL:
-                return zr.reshape(k, d), True
-    return zr.reshape(k, d), False
+                return zr.reshape(k, d), True, r, f.reshape(k, d)
+            np.subtract(zc, step, out=zc, where=np.isfinite(step))
+    return zr.reshape(k, d), False, r, f.reshape(k, d)
 
 
 def _one_zero_critical(a, m: int):
@@ -295,8 +306,9 @@ def _one_zero_critical(a, m: int):
                                                  0.0)))
 
 
-def _checked(a: np.ndarray, mu: np.ndarray, m: int,
-             z: np.ndarray) -> tuple[np.ndarray, list[Optional[str]]]:
+def _checked(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
+             r: Optional[np.ndarray] = None, f: Optional[np.ndarray] = None
+             ) -> tuple[np.ndarray, list[Optional[str]]]:
     """The ``(k, d)`` points ``z`` with those outside the disk reflected
     (onto roots of ``F`` too), and for each row why its points fail as
     free critical points of the product of zeros ``a`` with multiplicities
@@ -304,19 +316,28 @@ def _checked(a: np.ndarray, mu: np.ndarray, m: int,
     numerator ``M = f prod_k g_k`` of ``B'`` through ``_aberth``'s ``f =
     m + z sum_k mu_k w_k/g_k``: the relative residual of ``M`` is ``|f|/(m
     + |z| sum_k mu_k w_k/|g_k|)``, and ``|B'/prod_k phi_k^(mu_k-1)| =
-    |z^(m-1) M/Q^2|`` is ``|z|^(m-1) |f| prod_k |phi_k|``, so no product
-    over the other zeros is formed."""
-    z = np.divide(1.0, z.conjugate(), out=z, where=abs(z) > 1.0)
-    zc = z[:, :, None]
-    u = zc - a[:, None, :]
-    h = 1.0 - a.conjugate()[:, None, :] * zc
-    w = (mu * (1.0 - abs(a) ** 2))[:, :, None]
+    |z^(m-1) M/Q^2|`` is ``|z|^(m-1) |f| prod_k |phi_k|``, with ``|phi_k|
+    = |z-a_k|^2/|g_k|``, so no product over the other zeros is formed.
+    ``r`` (``1/g_k`` at each point, ``(k, d, d)``) and ``f`` are those
+    ``_aberth`` returns for exactly the points ``z``; the points it
+    reflects are evaluated again, and without ``r`` every point is."""
+    w = mu * (1.0 - abs(a) ** 2)
     mod = abs(z)
+    out = mod > 1.0
     with np.errstate(all="ignore"):
-        r = 1.0 / (u * h)
-        f = abs(m + z * (r @ w)[..., 0])
-        res = f / (m + mod * (abs(r) @ w)[..., 0])
-        dv = mod ** (m - 1) * f * abs(u / h).prod(axis=2)
+        if out.any():
+            z = np.divide(1.0, z.conjugate(), out=z, where=out)
+            mod = abs(z)
+            if r is not None:
+                at = out.nonzero()
+                r_at, f_at = _evaluated(a[at[0]], w[at[0]], m, z[at][:, None])
+                r[at], f[at] = r_at[:, 0], f_at[:, 0]
+        if r is None:
+            r, f = _evaluated(a, w, m, z)
+        ar, af = abs(r), abs(f)
+        au = abs(z[:, :, None] - a[:, None, :])
+        res = af / (m + mod * (ar @ w[:, :, None])[..., 0])
+        dv = mod ** (m - 1) * af * (au * ar * au).prod(axis=2)
     # f is not finite at a zero, where every test then fails
     good = (dv <= CRIT_TOL) & (res < _RESIDUAL_TOL) & (mod < 1.0)
     if good.all():
@@ -326,6 +347,16 @@ def _checked(a: np.ndarray, mu: np.ndarray, m: int,
                f"residual {q:.3g}, or lies outside the disk"
                for ok, d, q in zip(good.all(axis=1), dv.max(axis=1),
                                    res.max(axis=1))]
+
+
+def _evaluated(a: np.ndarray, w: np.ndarray, m: int,
+               z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``1/g_k`` at the ``(k, p)`` points ``z`` for the ``(k, d)`` zeros
+    ``a`` with weights ``w = mu (1-|a|^2)``, as ``(k, p, d)``, and ``f =
+    m + z sum_k w_k/g_k`` there, as ``_aberth`` evaluates them."""
+    zc = z[:, :, None]
+    r = 1.0 / ((zc - a[:, None, :]) * (1.0 - a.conjugate()[:, None, :] * zc))
+    return r, m + z * (r @ w[:, :, None])[..., 0]
 
 
 def _critical_divisors(products: list[BlaschkeProduct],
@@ -364,9 +395,9 @@ def _critical_divisors(products: list[BlaschkeProduct],
     for (_, m), members in groups.items():
         a = np.array([[z for z, _ in nz] for _, nz, _ in members])
         mu = np.array([[k for _, k in nz] for _, nz, _ in members])
-        z = (_aberth(a, mu, m) if starts is None else _aberth(
-            a, mu, m, np.array([starts[i] for i, _, _ in members])))[0]
-        z, failures = _checked(a, mu, m, z)
+        z, _, r, f = (_aberth(a, mu, m) if starts is None else _aberth(
+            a, mu, m, np.array([starts[i] for i, _, _ in members])))
+        z, failures = _checked(a, mu, m, z, r, f)
         for (i, nonzero, atoms), row, failure in zip(members, z, failures):
             if failure:
                 out[i] = NumericalError(failure)
@@ -415,11 +446,12 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
 
 
 def _inverse_terms(a: np.ndarray, z: np.ndarray, p: Optional[np.ndarray],
-                   fact: np.ndarray) -> tuple[np.ndarray, ...]:
+                   fact: Optional[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Terms ``(-1)^i i! a/(z-a)^(i+1)``, ``i! conj(a)^i/(1-conj(a)z)^(i+1)``
-    of ``f^(i)(z)`` at rows ``(z, i = p, fact = i!)`` (``p`` None if all
-    are 0) and zero columns ``a``, and their derivatives in ``a`` and
-    ``conj(a)``: the ``i``-th z-derivatives of ``z/(z-a)^2``, ``z/(1-conj(a)z)^2``."""
+    of ``f^(i)(z)`` at rows ``(z, i = p, fact = i!)`` (``p`` and ``fact``
+    None if all are 0) and zero columns ``a``, and their derivatives in
+    ``a`` and ``conj(a)``: the ``i``-th z-derivatives of ``z/(z-a)^2``,
+    ``z/(1-conj(a)z)^2``."""
     ac = a.conjugate()
     u, v = 1.0 / (z - a), 1.0 / (1.0 - ac * z)
     if p is None:
@@ -431,18 +463,22 @@ def _inverse_terms(a: np.ndarray, z: np.ndarray, p: Optional[np.ndarray],
 
 
 def _rows(atoms: list[tuple[complex, int]], m: int) -> tuple:
-    """Points and orders (columns; orders None if all are 0), order
-    factorials and ``m[i=0]`` of the conditions ``f^(i)(c) = 0``,
-    ``i < k``, at the atoms ``k*c``."""
+    """Points, orders and order factorials (columns; orders and
+    factorials None if every atom is simple) and ``m[i=0]`` of the
+    conditions ``f^(i)(c) = 0``, ``i < k``, at the atoms ``k*c``."""
+    if all(k == 1 for _, k in atoms):
+        z = np.array([c for c, _ in atoms], dtype=complex)
+        return z[:, None], None, None, np.full(len(z), float(m))
     order = np.array([i for _, k in atoms for i in range(k)])
     z = np.array([c for c, k in atoms for _ in range(k)], dtype=complex)
     fact = np.array([math.factorial(i) for i in order], dtype=float)
-    return (z[:, None], order[:, None] if order.any() else None,
-            fact[:, None], np.where(order == 0, float(m), 0.0))
+    return (z[:, None], order[:, None], fact[:, None],
+            np.where(order == 0, float(m), 0.0))
 
 
 def _inverse_newton(a: np.ndarray, z: np.ndarray, p: Optional[np.ndarray],
-                    fact: np.ndarray, base: np.ndarray, base_scale: np.ndarray,
+                    fact: Optional[np.ndarray], base: np.ndarray,
+                    base_scale: np.ndarray,
                     tol: float) -> Optional[np.ndarray]:
     """Newton's method (least squares if rows outnumber zeros) in the free
     zeros ``a`` on ``f^(p)(z) = 0``, ``base`` being the part of ``f`` no
@@ -480,28 +516,22 @@ def _continue_zeros(atoms: list[tuple[complex, int]], m: int,
     """Track the zeros for atoms ``k_j*c_j`` along the generic path ``t
     exp(i _TURN theta_j t(1-t)) c_j``, ``theta_j`` in [-1, 1] distinct, ``t``
     from 0 to 1, from the roots of the exact small-``t`` zero polynomial
-    ``z^e + sum_k (m+e)c_k/(m+k) z^k`` (``c`` of the monic polynomial with
-    those roots), then by secant.  A step doubles on acceptance (Newton
-    converged inside the disk); on rejection the step just tried is halved.
-    Returns the zeros, the last ``t`` and whether it is 1 (else the step
-    fell below ``_MIN_STEP``)."""
+    (``_small_t_zeros``), then by secant.  The first step tries ``t = 1``
+    at once, where the turn is exactly 1, so the turned points are formed
+    only once a shorter step is tried.  A step doubles on acceptance
+    (Newton converged inside the disk); on rejection the step just tried
+    is halved.  Returns the zeros, the last ``t`` and whether it is 1
+    (else the step fell below ``_MIN_STEP``)."""
     z, p, fact, base = _rows(atoms, m)
-    e = len(z)
-    j = np.array([i for i, (_, k) in enumerate(atoms) for _ in range(k)])
-    theta = 1j * _TURN * (2.0 * (0.6180339887498949 * j[:, None] % 1.0) - 1.0)
-    comp = np.eye(e, k=-1, dtype=complex)
-    a_prev = a = np.zeros(e, dtype=complex)
+    a_prev = a = np.zeros(len(z), dtype=complex)
     t_prev = t = 0.0
     dt = 1.0
     while t < 1.0:
         t_next = min(1.0, t + dt)
-        zt = t_next * z * np.exp(theta * (t_next * (1.0 - t_next)))
-        if t == 0.0:    # companion matrix of the small-t polynomial
-            k = np.arange(e - 1, -1, -1)
-            comp[0] = -(m + e) / (m + k) * np.poly(zt[:, 0])[1:]
-            guess = np.linalg.eigvals(comp)
-        else:
-            guess = a + (t_next - t) / (t - t_prev) * (a - a_prev)
+        zt = z if t_next == 1.0 else t_next * z * np.exp(
+            _path_turns(atoms) * (t_next * (1.0 - t_next)))
+        guess = (_small_t_zeros(zt[:, 0].tolist(), m) if t == 0.0 else
+                 a + (t_next - t) / (t - t_prev) * (a - a_prev))
         a_next = _inverse_newton(guess, zt, p, fact, base, base, tol)
         if a_next is not None and (abs(a_next) < 1.0).all():
             a_prev, t_prev, a, t = a, t, a_next, t_next
@@ -511,6 +541,30 @@ def _continue_zeros(atoms: list[tuple[complex, int]], m: int,
         if dt < _MIN_STEP:
             return a, t, False
     return a, t, True
+
+
+def _path_turns(atoms: list[tuple[complex, int]]) -> np.ndarray:
+    """The column ``i _TURN theta_j`` of ``_continue_zeros``' path, one row
+    per condition, ``theta_j = 2 frac(j/golden ratio) - 1`` for atom ``j``."""
+    j = np.array([i for i, (_, k) in enumerate(atoms) for _ in range(k)])
+    return 1j * _TURN * (2.0 * (0.6180339887498949 * j[:, None] % 1.0) - 1.0)
+
+
+def _small_t_zeros(points: list[complex], m: int) -> np.ndarray:
+    """Roots of ``z^e + sum_k (m+e)c_k/(m+k) z^k``, the zero polynomial
+    exact to first order at ``t*points`` for small ``t``, ``c`` being the
+    coefficients of the monic polynomial with roots ``points``, by the
+    Vieta recurrence in Python arithmetic and the eigenvalues of the
+    companion matrix."""
+    c = [1.0 + 0j]    # descending: c[i] multiplies z^(e-i)
+    for x in points:
+        c.append(-x * c[-1])
+        for i in range(len(c) - 2, 0, -1):
+            c[i] -= x * c[i - 1]
+    e = len(points)
+    comp = np.eye(e, k=-1, dtype=complex)
+    comp[0] = [-(m + e) / (m + e - i) * c[i] for i in range(1, e + 1)]
+    return np.linalg.eigvals(comp)
 
 
 def _solve_collapsed(atoms: list[tuple[complex, int]], m: int, tol: float,
@@ -552,10 +606,12 @@ def zeros_from_critical(R: Divisor, m: int,
     ``f^(i)(t*r) = 0`` for each atom ``r`` of ``R`` and ``i < mult(r)``
     with closed-form Wirtinger derivatives; no roots are found inside the
     solve.  ``newton_tol`` bounds each ``|f^(i)(t*r)|`` relative to
-    ``m[i=0]`` plus the moduli of its terms.  The one path turns the atoms
-    a little on the way (``_continue_zeros``): the straight ``t*R`` keeps
-    any mirror symmetry of ``R`` and can meet a double zero, where two
-    zeros branch.
+    ``m[i=0]`` plus the moduli of its terms.  The first attempt goes to
+    ``t = 1`` at once from the roots of the small-``t`` zero polynomial
+    (``_small_t_zeros``), which most inputs accept; a shorter step
+    follows one path that turns the atoms a little on the way
+    (``_continue_zeros``): the straight ``t*R`` keeps any mirror
+    symmetry of ``R`` and can meet a double zero, where two zeros branch.
 
     ``F = f prod_k g_k`` vanishes neither at 0 nor at a nonzero zero, so
     an atom ``k*0`` is ``k`` zeros at 0 and an atom ``k*c``, ``c != 0``,
@@ -572,7 +628,10 @@ def zeros_from_critical(R: Divisor, m: int,
     distinct nonzero zeros, it starts at the seeds.  The start saves
     steps only: the points must still pass every test of
     ``critical_divisor``, and then lie within 1e-7 of ``R`` in
-    ``matching_distance``.
+    ``matching_distance``.  The stored points are those at which the
+    run's step fell below ``_ABERTH_TOL``, so a run whose first step
+    from ``R`` is already that small stores the points of ``R`` itself,
+    tested at its evaluation there.
 
     Raises
     ------
@@ -599,16 +658,15 @@ def zeros_from_critical(R: Divisor, m: int,
     solved = []
     if atoms:
         a, t, done = _continue_zeros(atoms, m + mu0, newton_tol)
-        solved = ([(complex(x), 1) for x in a] if done else
+        solved = ([(x, 1) for x in a.tolist()] if done else
                   _solve_collapsed(atoms, m + mu0, newton_tol, a, t))
         if solved is None:
             raise ContinuationError(f"continuation stalled at t = {t:.6g}", t)
     B = BlaschkeProduct(Divisor(solved + [(0j, mu0)] * (mu0 > 0),
                                 REGION_INTERIOR), m)
     fixed = {c for c, k in solved if k > 1}
-    start = [c + 1e-4 * np.exp(1j * (_TURN + 2.0 * np.pi * np.arange(k) / k))
-             if k > 1 else [c] for c, k in atoms if c not in fixed]
-    start = np.concatenate(start) if start else []
+    start = [c + cmath.rect(1e-4, _TURN + 2.0 * math.pi * i / k) if k > 1
+             else c for c, k in atoms if c not in fixed for i in range(k)]
     # from the seeds if zeros merged at MERGE_TOL
     d = sum(z != 0 for z, _ in B.free_zeros.atoms)
     (result,) = _critical_divisors([B], [start] if len(start) == d else None)
@@ -676,7 +734,8 @@ def walsh_check(B: BlaschkeProduct, tol: float = 1e-9) -> bool:
     Raises
     ------
     PreconditionError
-        If the degree is below 2 or ``tol`` is NaN or infinite.
+        If the degree is below 2 or ``tol`` is not finite and
+        nonnegative.
     """
     if B.degree < 2:
         raise PreconditionError("walsh_check needs degree >= 2")

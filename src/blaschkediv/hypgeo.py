@@ -184,8 +184,9 @@ def _hull_contains_all(generators: list[complex], targets: Iterable[complex],
     the first one outside, as a chain of :func:`hull_contains` calls
     would.
     """
-    if not math.isfinite(tol):
-        raise PreconditionError("hull tolerance must be finite")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(
+            "hull tolerance must be finite and nonnegative")
     if not generators:
         raise PreconditionError("hull_contains needs at least one generator")
     hull = _convex_hull([(k.real, k.imag)
@@ -212,8 +213,10 @@ def hull_contains(generators: list[complex], p: complex,
     tol : float
         Additive Euclidean inflation of the hull in the Klein chart.
         The default 1e-9 absorbs root-finder noise, which is Euclidean.
-        It must be finite: a NaN would fail every point and an infinite
-        one pass every one.
+        It must be finite and nonnegative: a NaN would fail every point,
+        an infinite one pass every one, and a negative one would fail
+        every point too, since a point inside the hull is at distance
+        exactly 0.
 
     Returns
     -------
@@ -224,8 +227,8 @@ def hull_contains(generators: list[complex], p: complex,
     Raises
     ------
     PreconditionError
-        If there are no generators, ``tol`` is NaN or infinite, or a
-        point is not interior.
+        If there are no generators, ``tol`` is not finite and
+        nonnegative, or a point is not interior.
     """
     return _hull_contains_all(generators, (p,), tol)
 

@@ -502,7 +502,7 @@ def test_partial_fraction_check_matches_the_factored_form():
         norm = np.array([from_zero_divisor(
             Divisor(list(zip(a, mu.tolist())), "interior"), m).normalization])
         a, mu = a[None], mu[None]
-        z, _ = blaschke._aberth(a, mu, m)
+        z, _, _, _ = blaschke._aberth(a, mu, m)
         for move in (0.0, 1e-9, 1e-6, 1e-3):
             moved = z * (1.0 + move * np.exp(2j * np.pi * rng.random(z.shape)))
             with np.errstate(all="ignore"):
@@ -513,10 +513,89 @@ def test_partial_fraction_check_matches_the_factored_form():
     assert 0 < sum(verdicts) < len(verdicts)
     # the subnormal zero fails both forms
     a, mu = np.array([[2.2250738585e-313 + 0j]]), np.ones((1, 1), int)
-    z, _ = blaschke._aberth(a, mu, 1)
+    z, _, _, _ = blaschke._aberth(a, mu, 1)
     with np.errstate(all="ignore"):
         assert not factored_verdicts(a, mu, 1, np.ones(1), z.copy())[0]
     assert blaschke._checked(a, mu, 1, z.copy())[1][0] is not None
+
+
+def fresh_evaluation(a, mu, m, z):
+    """``1/g_k``, ``f = m + z sum_k mu_k w_k/g_k`` and the sum of the
+    moduli of the terms of ``f`` at the ``(k, d)`` points ``z``."""
+    zc = z[:, :, None]
+    r = 1.0 / ((zc - a[:, None, :]) * (1.0 - a.conjugate()[:, None, :] * zc))
+    w = (mu * (1.0 - abs(a) ** 2))[:, None, :]
+    return (r, m + z * (r * w).sum(axis=2),
+            m + abs(z) * (abs(r) * w).sum(axis=2))
+
+
+def assert_check_reads_the_run(a, mu, m, run) -> int:
+    """Assert that the ``r`` and ``f`` of an ``_aberth`` run belong to
+    the points it returns, and that the check given them reaches the
+    verdicts and points of the check re-run at those points; returns the
+    number of rows with a reflected point."""
+    z, _, r, f = run
+    want_r, want_f, scale = fresh_evaluation(a, mu, m, z)
+    assert np.allclose(r, want_r, rtol=1e-13, atol=0.0)
+    assert (abs(f - want_f) <= 1e-13 * scale).all()
+    got_z, got = blaschke._checked(a, mu, m, z.copy(), r.copy(), f.copy())
+    want_z, want = blaschke._checked(a, mu, m, z.copy())
+    assert [v is None for v in got] == [v is None for v in want]
+    assert np.array_equal(got_z, want_z)
+    return int((abs(z) > 1.0).any(axis=1).sum())
+
+
+def test_check_reads_aberths_last_evaluation():
+    # stacks of three rows, e = 1..24 at radii 0.7, 0.9 and 0.999; some
+    # runs end on roots outside the disk, which the check reflects and
+    # evaluates again
+    rng = np.random.default_rng(2803)
+    reflected = 0
+    for e in range(1, 25):
+        for m in (1, 2, 3):
+            for _ in range(8):
+                radius = np.array([0.7, 0.9, 0.999])[:, None]
+                a = radius * np.sqrt(rng.random((3, e))) * np.exp(
+                    2j * np.pi * rng.random((3, e)))
+                mu = np.ones((3, e), int)
+                reflected += assert_check_reads_the_run(
+                    a, mu, m, blaschke._aberth(a, mu, m))
+    assert reflected > 0
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_check_reads_the_evaluation_at_the_step_cap(steps, monkeypatch):
+    # a run cut short ends on one more evaluation, at the points it
+    # returns, not on the evaluation before its last step
+    monkeypatch.setattr(blaschke, "_ABERTH_STEPS", steps)
+    rng = np.random.default_rng(2804)
+    for e in (1, 2, 5, 12, 24):
+        a = 0.9 * np.sqrt(rng.random((2, e))) * np.exp(
+            2j * np.pi * rng.random((2, e)))
+        mu = np.ones((2, e), int)
+        run = blaschke._aberth(a, mu, 2)
+        # one zero's seed is its exact critical point
+        assert not run[1] or e == 1
+        assert_check_reads_the_run(a, mu, 2, run)
+
+
+def test_check_reads_the_capped_run_of_a_triple_atom(monkeypatch):
+    # the inverse's check of 3*(0.5) starts its copies on a circle and
+    # never converges in step size
+    runs, aberth = [], blaschke._aberth
+
+    def recorded(a, mu, m, start=None):
+        z, converged, r, f = aberth(a, mu, m, start)
+        # copies, since the check reflects into the arrays it is given
+        runs.append((a, mu, m, (z.copy(), converged, r.copy(), f.copy())))
+        return z, converged, r, f
+
+    monkeypatch.setattr(blaschke, "_aberth", recorded)
+    with pytest.raises(NumericalError, match="round trip off"):
+        zeros_from_critical(Divisor([(0.5 + 0j, 3)], "interior"), 1)
+    ((a, mu, m, run),) = runs
+    assert not run[1]
+    assert_check_reads_the_run(a, mu, m, run)
 
 
 def test_forward_map_needs_no_factored_derivative(monkeypatch):
@@ -642,6 +721,50 @@ def test_critical_divisor_reuses_the_inverse_check(aberth_calls):
     assert first.residual_count == fresh.residual_count == 2
 
 
+def small_t_reference(points: np.ndarray, m: int):
+    """The inverse's small-t start as ``np.poly`` and the companion
+    matrix give it: the eigenvalues of the companion matrix of ``z^e +
+    sum_k (m+e)c_k/(m+k) z^k``, ``c`` from ``np.poly(points)``, and that
+    polynomial's coefficients, highest first."""
+    e = len(points)
+    k = np.arange(e - 1, -1, -1)
+    q = np.concatenate(([1.0], (m + e) / (m + k) * np.poly(points)[1:]))
+    comp = np.eye(e, k=-1, dtype=complex)
+    comp[0] = -q[1:]
+    return np.linalg.eigvals(comp), q
+
+
+def test_inverse_starts_at_the_companion_start(monkeypatch):
+    # the Vieta coefficients round differently from np.poly's, and the
+    # companion eigenvalues amplify that with the degree: up to e = 12
+    # the starts agree to 1e-12, beyond it they are roots of the same
+    # polynomial to the reference's own backward error
+    guesses, newton = [], blaschke._inverse_newton
+
+    def recorded(*args):
+        guesses.append(args[0])
+        return newton(*args)
+
+    monkeypatch.setattr(blaschke, "_inverse_newton", recorded)
+    rng = np.random.default_rng(2802)
+    for e in range(1, 25):
+        for m in (1, 2, 3):
+            R = critical_divisor(from_zero_divisor(
+                random_zeros(rng, e, 0.9), m)).free_ram
+            guesses.clear()
+            zeros_from_critical(R, m)
+            want, q = small_t_reference(np.array(R.points()), m)
+            got = guesses[0]
+            # some roots lie outside the disk, where a Divisor cannot go;
+            # nearest neighbours that form a matching bound its distance
+            near = abs(got[:, None] - want).argmin(axis=1)
+            assert sorted(near) == list(range(e))
+            assert abs(got - want[near]).max() <= (
+                1e-12 if e <= 12 else 1e-8), (e, m)
+            backward = abs(np.polyval(q, got)) / np.polyval(abs(q), abs(got))
+            assert backward.max() <= 1e-12, (e, m)
+
+
 def test_inverse_check_starts_at_R(aberth_calls):
     # the inverse's one forward map runs from the points of R, and the
     # divisor it stores agrees with a cold run from the seeds
@@ -734,9 +857,9 @@ def test_aberth_converges_on_real_zeros(monkeypatch):
     runs, aberth = [], blaschke._aberth
 
     def recorded(*args):
-        z, converged = aberth(*args)
+        z, converged, r, f = aberth(*args)
         runs.append(converged)
-        return z, converged
+        return z, converged, r, f
 
     monkeypatch.setattr(blaschke, "_aberth", recorded)
     rng = np.random.default_rng(1113)
@@ -919,9 +1042,10 @@ def test_walsh_spot_and_power_cases():
         walsh_check(from_zero_divisor(Divisor([], "interior"), 1))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
 def test_walsh_check_refuses_a_non_finite_tol(tol):
-    # NaN used to read as a failed certificate, +inf as a vacuous pass
+    # NaN used to read as a failed certificate, +inf as a vacuous pass,
+    # and a negative tol as a failed one
     B = from_zero_divisor(interior_divisor([0.6, -0.3j]), 1)
     with pytest.raises(PreconditionError):
         walsh_check(B, tol)
@@ -935,7 +1059,7 @@ def test_walsh_check_equals_per_point_hull_tests():
         gens = [0j] + B.free_zeros.points()
         targets = ([0j] if m >= 2 else []) + \
             critical_divisor(B).free_ram.points()
-        for tol in (1e-9, 0.0, -1e-3):
+        for tol in (1e-9, 0.0):
             assert walsh_check(B, tol) == all(
                 hull_contains(gens, c, tol) for c in targets)
 

@@ -145,9 +145,10 @@ def test_one_hull_stops_at_the_first_target_outside():
         _hull_contains_all([0j, 0.5 + 0j], [0.25 + 0j, 2.0], 1e-9)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-3])
 def test_hull_contains_refuses_a_non_finite_tol(tol):
-    # NaN would fail every target and +inf pass every one
+    # NaN would fail every target and +inf pass every one; a negative
+    # tol would fail every target too, the inside ones at distance 0
     with pytest.raises(PreconditionError):
         hull_contains([0j, 0.5 + 0j], 0.25 + 0j, tol)
     with pytest.raises(PreconditionError):
