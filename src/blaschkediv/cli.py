@@ -181,8 +181,18 @@ def _list(value: object) -> list:
     return value
 
 
+def _int(value: object) -> int:
+    """A JSON number with an integral value (``2.0`` counts)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected an integer, got {value!r}")
+    n = int(value)
+    if n != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return n
+
+
 def _ints(value: object) -> list[int]:
-    return [int(n) for n in _list(value)]
+    return [_int(n) for n in _list(value)]
 
 
 def _point(value: object) -> complex:
@@ -196,10 +206,10 @@ def _run_converge(config: dict) -> dict:
     D = boundary_from_json(config["divisor"])
     cfg = SweepConfig(
         _value(config, "epsilons", lambda v: [float(e) for e in _list(v)]),
-        _value(config, "samples_per_epsilon", int),
-        _value(config, "rng_seed", int),
+        _value(config, "samples_per_epsilon", _int),
+        _value(config, "rng_seed", _int),
         _value(config, "tolerances", lambda v: dict(v or {})))
-    return verify_extension_convergence(D, _value(config, "m", int), cfg)
+    return verify_extension_convergence(D, _value(config, "m", _int), cfg)
 
 
 def _run_multiplier(config: dict) -> dict:
@@ -210,17 +220,17 @@ def _run_multiplier(config: dict) -> dict:
 def _run_cont_orbit(config: dict) -> dict:
     D = boundary_from_json(config["divisor"])
     return verify_cont_orbit(D, _value(config, "q", _point),
-                             _value(config, "l", int),
+                             _value(config, "l", _int),
                              _value(config, "n_schedule", _ints))
 
 
 def _run_prescribe(config: dict) -> dict:
     D = boundary_from_json(config["divisor"])
     return prescribe_distance(
-        D, _value(config, "q", _point), _value(config, "l", int),
+        D, _value(config, "q", _point), _value(config, "l", _int),
         _value(config, "L", float), _value(config, "eps", float),
         tau=_value(config, "tau", float, 1e-3),
-        max_attempts=_value(config, "max_attempts", int, 8)).to_json()
+        max_attempts=_value(config, "max_attempts", _int, 8)).to_json()
 
 
 class _Experiment(NamedTuple):

@@ -36,6 +36,21 @@ __all__ = [
 ]
 
 
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an ``int``, refusing with ``PreconditionError`` a
+    value that is not an integer (a float counts when it is integral)
+    or that is below ``least``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    if n < least:
+        raise PreconditionError(f"{name} must be at least {least}")
+    return n
+
+
 class SweepConfig:
     """Configuration of a neighborhood sweep.
 
@@ -44,9 +59,9 @@ class SweepConfig:
     epsilons : sequence of float
         Strictly decreasing neighborhood radii, finite and positive.
     samples_per_epsilon : int
-        Random samples drawn at each radius.
+        Random samples drawn at each radius, at least 1.
     rng_seed : int
-        64-bit seed; identical seeds give bit-identical reports.
+        Nonnegative seed; identical seeds give bit-identical reports.
     tolerances : dict, optional
         Named tolerance overrides for consumers.
     """
@@ -58,11 +73,10 @@ class SweepConfig:
             raise PreconditionError("epsilons must be finite and positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise PreconditionError("epsilons must be strictly decreasing")
-        if samples_per_epsilon < 1:
-            raise PreconditionError("samples_per_epsilon must be positive")
         self.epsilons = eps
-        self.samples_per_epsilon = int(samples_per_epsilon)
-        self.rng_seed = int(rng_seed)
+        self.samples_per_epsilon = _integer(samples_per_epsilon,
+                                            "samples_per_epsilon", 1)
+        self.rng_seed = _integer(rng_seed, "rng_seed", 0)
         self.tolerances = dict(tolerances or {})
 
     def to_json(self) -> dict:
@@ -291,13 +305,10 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
     (one stacked forward map, ``_critical_divisors``); the first failing
     ``n`` of the schedule raises its error.
     """
-    l = int(l)
-    if l < 1:
-        raise PreconditionError("l must be at least 1")
+    l = _integer(l, "l", 1)
     q = complex(q)
     target = _check_orbit_preconditions(D, q, l)
-    if any(n < 2 for n in n_schedule):
-        raise PreconditionError("schedule entries must be at least 2")
+    n_schedule = [_integer(n, "schedule entries", 2) for n in n_schedule]
     m = D.interior_part.m
     products = [from_zero_divisor(_radial_approach(D, n), m)
                 for n in n_schedule]
@@ -307,7 +318,7 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
             raise orbit
         c, w = orbit
         rows.append({
-            "n": int(n),
+            "n": n,
             "critical_point": [c.real, c.imag],
             "orbit_value": [w.real, w.imag],
             "distance": abs(w - target),
@@ -317,7 +328,7 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
         "q": [q.real, q.imag],
         "l": l,
         "target": [target.real, target.imag],
-        "n_schedule": [int(n) for n in n_schedule],
+        "n_schedule": n_schedule,
         "profile": rows,
     }
 
@@ -443,30 +454,48 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     product and picks ``c_q`` among all its critical points, refusing an
     ambiguous choice; the five products are mapped together (one stacked
     forward map, ``_critical_divisors``), and each start still counts as
-    one full evaluation in the certificate's ``iterations``.  Newton then
-    tracks that one critical point (``_tracked_orbit``): each trial
-    predicts it to first order from the last one and refines it on the
-    factored numerator, and the Jacobian comes from the closed-form
-    Wirtinger derivatives of ``h``, under a monotone backtracking line
-    search.  At convergence one guarded full
+    one full evaluation in the certificate's ``iterations``.
+
+    Newton runs in ``(s, phi)`` with ``zeta = (1 - s^2) e^{i phi}`` and
+    carries ``s`` and ``phi`` as its state, so ``1 - |zeta| = s^2`` is
+    never recomputed by cancellation.  The extension of the critical
+    map to the circle is Hoelder-1/2: a zero ``delta`` inside the circle
+    puts its critical point about ``sqrt(2 delta/lambda)`` from the
+    circle point (``lambda = |B'(q)|``).  So ``h`` is smooth in
+    ``s = sqrt(1 - |zeta|)``, not in ``zeta``, near its root about 1e-7
+    inside the circle: a Newton step in ``zeta`` overshoots there by
+    about 2x, so its line search would halve every step, while full
+    steps in ``s`` converge.
+    Newton tracks the one critical point ``c_q`` (``_tracked_orbit``): each
+    trial predicts it along the tangent in ``(s, phi)`` and refines it
+    on the factored numerator, and the Jacobian columns ``dh/ds`` and
+    ``dh/dphi`` come by the chain rule (``dzeta/ds = -2s e^{i phi}``,
+    ``dzeta/dphi = i zeta``) from the closed-form Wirtinger derivatives
+    of ``h``, under a monotone backtracking line search that stops at
+    ``|h - xi| < 1e-11`` or 80 steps.  At convergence one guarded full
     evaluation checks the basin: the root counts only if the critical
     point it picks is the tracked one within 1e-9, and its orbit value
     goes into the certificate.  When every start fails, a winding-number
     quadtree bisection on the full ``h`` is the fallback (the solution
     exists precisely because that winding is 1).  The certificate's
-    residual is ``|achieved - L|``.  A non-finite ``L``, ``eps`` or
-    ``tau`` is refused before any solve.
+    residual is ``|achieved - L|``.
+
+    Refused with ``PreconditionError`` before any solve: a non-finite
+    ``L``, ``eps`` or ``tau``, a ``tau`` outside the open interval
+    (0, 1), and an ``l`` or ``max_attempts`` that is not an integer of at
+    least 1 (an integral float counts).
     """
     q = complex(q)
-    l = int(l)
+    l = _integer(l, "l", 1)
+    max_attempts = _integer(max_attempts, "max_attempts", 1)
     if not all(map(math.isfinite, (L, eps, tau))):
         raise PreconditionError("L, eps and tau must be finite")
     if L < 0:
         raise PreconditionError("L must be nonnegative")
-    if l < 1:
-        raise PreconditionError("l must be at least 1")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
+    if not 0.0 < tau < 1.0:
+        raise PreconditionError("tau must lie strictly between 0 and 1")
     qp = _check_orbit_preconditions(D, q, l)
     B = D.interior_part
     if D.circle_part.multiplicity(qp, tol=1e-9) == 0:
@@ -527,9 +556,12 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
             return None
         return _tracked_orbit(others, m, l, zeta, c0)
 
-    def newton(z: complex, c: complex) -> Optional[tuple[complex, complex]]:
-        """Root and its full ``h`` from the start ``z``, whose full
-        evaluation picked the critical point ``c``; None on failure."""
+    def newton(s: float, phi: float,
+               c: complex) -> Optional[tuple[complex, complex]]:
+        """Root and its full ``h`` from the start ``zeta(s, phi)``, whose
+        full evaluation picked the critical point ``c``; None on
+        failure."""
+        z = cmath.rect(1.0 - s * s, phi)
         t = tracked(z, c)
         if t is None:
             return None
@@ -542,34 +574,45 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
                 if val is None or not abs(val[0] - c) <= 1e-9:
                     return None
                 return z, val[1]
-            # The real Jacobian has columns dh/dx = h_z + h_zb and
-            # dh/dy = i(h_z - h_zb), so its determinant is
-            # |h_z|^2 - |h_zb|^2 and its inverse applied to -f is:
-            det = abs(h_z) ** 2 - abs(h_zb) ** 2
+            # A real direction v of zeta moves h by h_z v + h_zb conj(v);
+            # zeta_s = -2s e^{i phi} and zeta_phi = i zeta give the
+            # columns of the real Jacobian in (s, phi), and Cramer's rule
+            # applied to -f gives the step.
+            z_s = cmath.rect(-2.0 * s, phi)
+            z_phi = 1j * z
+            h_s = h_z * z_s + h_zb * z_s.conjugate()
+            h_phi = h_z * z_phi + h_zb * z_phi.conjugate()
+            det = (h_s.conjugate() * h_phi).imag
             if det == 0.0:
                 return None
-            step = (h_zb * f.conjugate() - h_z.conjugate() * f) / det
+            ds = -(f.conjugate() * h_phi).imag / det
+            dphi = -(h_s.conjugate() * f).imag / det
+            # c is smooth in (s, phi) too: predict it along the tangent
+            dz = z_s * ds + z_phi * dphi
+            dc = c_z * dz + c_zb * dz.conjugate()
             lam = 1.0
             for _ in range(12):
-                dz = lam * step
-                t = tracked(z + dz, c + c_z * dz + c_zb * dz.conjugate())
+                s1, phi1 = s + lam * ds, phi + lam * dphi
+                z1 = cmath.rect(1.0 - s1 * s1, phi1)
+                t = tracked(z1, c + lam * dc)
                 if t is not None and abs(t[1] - xi) < err:
                     break
                 lam *= 0.5
             else:
                 return None
-            z += dz
+            s, phi, z = s1, phi1, z1
         return None
 
     delta = min(eps, 0.05)
+    phi_q = cmath.phase(q)
     found: Optional[tuple[complex, complex]] = None
     for _ in range(max_attempts):
-        starts = [(1.0 - s * delta) * q
-                  for s in (0.3, 0.1, 0.03, 0.01, 0.003)]
-        ranked = [(abs(val[1] - xi), z0, val[0])
-                  for z0, val in zip(starts, full(starts)) if val is not None]
-        for _, z0, c0 in sorted(ranked, key=lambda t: t[0]):
-            found = newton(z0, c0)
+        depths = [frac * delta for frac in (0.3, 0.1, 0.03, 0.01, 0.003)]
+        starts = [(1.0 - d) * q for d in depths]
+        ranked = [(abs(val[1] - xi), math.sqrt(d), val[0])
+                  for d, val in zip(depths, full(starts)) if val is not None]
+        for _, s0, c0 in sorted(ranked, key=lambda t: t[0]):
+            found = newton(s0, phi_q, c0)
             if found is not None:
                 break
         if found is not None:
@@ -643,18 +686,17 @@ def multiplier_limit_check(D: BoundaryDivisor,
             "the multiplier limit needs a singular divisor (identity part)")
     if any(abs(z - 1.0) <= 1e-9 for z, _ in D.circle_part.atoms):
         raise PreconditionError("1 must stay outside supp(S)")
+    n_schedule = [_integer(n, "schedule entries", 2) for n in n_schedule]
     rows = []
     for n in n_schedule:
-        if n < 2:
-            raise PreconditionError("schedule entries must be at least 2")
         B_n = from_zero_divisor(_radial_approach(D, n), 1)
         mult = multiplier_at_zero(B_n)
         rows.append({
-            "n": int(n),
+            "n": n,
             "multiplier": [mult.real, mult.imag],
             "deviation": abs(mult - 1.0),
         })
     return {
-        "n_schedule": [int(n) for n in n_schedule],
+        "n_schedule": n_schedule,
         "profile": rows,
     }

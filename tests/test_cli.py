@@ -476,6 +476,25 @@ def test_exit_precondition_non_finite_prescribe_scalar(key, value, capsys,
     assert json.loads(err)["error"] == "PreconditionError"
 
 
+def test_exit_precondition_prescribe_tau_one(capsys, deadline):
+    # tau = 1 would place the target's zero at the origin
+    config = {"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3", "l": 1,
+              "L": 1.0, "eps": 0.2, "tau": 1.0}
+    code, out, err = run_cli(
+        capsys, ["experiment", "prescribe", "--config", json.dumps(config)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
+def test_exit_precondition_negative_rng_seed(capsys):
+    config = json.loads(CONVERGE_CONFIG)
+    config["rng_seed"] = -1
+    code, out, err = run_cli(
+        capsys, ["experiment", "converge", "--config", json.dumps(config)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
 def test_exit_schema_unknown_divisor_key(capsys):
     code, _, err = run_cli(
         capsys, ["extend", "--divisor", '{"m": 1, "bogus": []}'])
@@ -548,21 +567,40 @@ def test_exit_schema_non_numeric_atom(zeros, capsys):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+def experiment_config(name: str) -> dict:
+    return {
+        "cont-orbit": {"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3",
+                       "l": 1, "n_schedule": [100, 1000]},
+        "multiplier": {"divisor": {"m": 1, "support": ["1/4", "3/4"]},
+                       "n_schedule": [10, 100]},
+        "converge": json.loads(CONVERGE_CONFIG),
+        "prescribe": {"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3",
+                      "l": 1, "L": 1.0, "eps": 0.2},
+    }[name]
+
+
 @pytest.mark.parametrize("name, key, value", [
     ("cont-orbit", "q", ["a", 1]),
     ("cont-orbit", "q", {"angle_turns": "1/3", "mult": 2}),
     ("cont-orbit", "l", "x"),
     ("multiplier", "n_schedule", 5),
     ("converge", "m", "x"),
+    # an integer key refuses a non-integral number instead of truncating it
+    ("cont-orbit", "l", 1.5),
+    ("cont-orbit", "n_schedule", [100.5, 1000]),
+    ("multiplier", "n_schedule", [2.5]),
+    ("converge", "m", 1.5),
+    ("converge", "samples_per_epsilon", 2.5),
+    ("converge", "rng_seed", 1.5),
+    ("converge", "rng_seed", math.nan),
+    ("prescribe", "l", 1.5),
+    ("prescribe", "max_attempts", 2.5),
+    # nor does it read a string or a boolean as a number
+    ("multiplier", "n_schedule", ["10", 100]),
+    ("cont-orbit", "l", True),
 ])
 def test_exit_schema_wrong_typed_config_value(name, key, value, capsys):
-    config = {
-        "cont-orbit": {"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3",
-                       "l": 1, "n_schedule": [100, 1000]},
-        "multiplier": {"divisor": {"m": 1, "support": ["1/4", "3/4"]},
-                       "n_schedule": [10, 100]},
-        "converge": json.loads(CONVERGE_CONFIG),
-    }[name]
+    config = experiment_config(name)
     config[key] = value
     code, out, err = run_cli(
         capsys, ["experiment", name, "--config", json.dumps(config)])
@@ -570,6 +608,19 @@ def test_exit_schema_wrong_typed_config_value(name, key, value, capsys):
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "SchemaError"
     assert repr(key) in diagnostic["message"]
+
+
+def test_integral_json_floats_are_integers(capsys):
+    outputs = []
+    for schedule in ([10, 100], [10.0, 100.0]):
+        config = experiment_config("multiplier")
+        config["n_schedule"] = schedule
+        code, out, _ = run_cli(
+            capsys, ["experiment", "multiplier", "--config",
+                     json.dumps(config)])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv, message", [

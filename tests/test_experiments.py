@@ -59,6 +59,21 @@ def test_sweep_config_rejects_bad_sample_count():
         SweepConfig([1e-2], 0, 1)
 
 
+@pytest.mark.parametrize("samples, seed", [
+    (2.5, 1), (8, 1.5), (8, math.nan), (8, math.inf), (8, -1), (8, "1")])
+def test_sweep_config_refuses_non_integral_counts_and_bad_seeds(samples,
+                                                                seed):
+    with pytest.raises(PreconditionError):
+        SweepConfig([1e-2], samples, seed)
+
+
+def test_sweep_config_takes_integral_floats_as_integers():
+    cfg = SweepConfig([1e-2], 8.0, 5.0)
+    assert cfg.to_json() == SweepConfig([1e-2], 8, 5).to_json()
+    assert type(cfg.samples_per_epsilon) is int
+    assert type(cfg.rng_seed) is int
+
+
 def test_sweep_config_to_json():
     cfg = SweepConfig([1e-2, 1e-3], 16, 42, tolerances={"match": 1e-6})
     assert cfg.to_json() == {
@@ -250,6 +265,22 @@ def test_orbit_rejects_intermediate_support_hit():
         verify_cont_orbit(orbit_reference(), turn(1.0 / 3.0), 2, [100])
 
 
+@pytest.mark.parametrize("l, schedule", [
+    (1.5, [100]), (math.nan, [100]), (1, [100.5]), (1, [100, math.nan]),
+    (1, [100, math.inf])])
+def test_orbit_refuses_non_integral_parameters(l, schedule, aberth_rows):
+    with pytest.raises(PreconditionError):
+        verify_cont_orbit(orbit_reference(), turn(1.0 / 3.0), l, schedule)
+    assert aberth_rows == []
+
+
+def test_orbit_takes_integral_floats_as_integers():
+    D, q = orbit_reference(), turn(1.0 / 3.0)
+    report = verify_cont_orbit(D, q, 1.0, [100.0, 1000.0])
+    assert report == verify_cont_orbit(D, q, 1, [100, 1000])
+    assert [type(row["n"]) for row in report["profile"]] == [int, int]
+
+
 def test_orbit_precondition_errors():
     D = orbit_reference()
     with pytest.raises(PreconditionError):
@@ -354,6 +385,54 @@ def test_prescribe_winding_fallback_alone_certifies(monkeypatch):
     assert_remeasured(cert, q, 1)
 
 
+@pytest.mark.parametrize("L", [0.0, 0.5, 1.0, 2.0])
+def test_prescribe_reference_costs_at_most_twelve_evaluations(L):
+    # h is smooth in s = sqrt(1 - |zeta|) near its root about 1e-7 inside
+    # the circle, so Newton in (s, phi) takes full steps; in zeta the
+    # line search halves them and the solve spends 16 to 31 evaluations
+    q = turn(1.0 / 3.0)
+    cert = prescribe_distance(orbit_reference(), q, 1, L, eps=0.2)
+    assert cert.iterations <= 12
+    assert_remeasured(cert, q, 1)
+
+
+def free_zero_problems(count: int, seed: int):
+    """Seeded prescribe problems with free zeros (m = 1..3, l = 1..2, one
+    or two zeros inside radius 0.6): the support is {q, B^l(q)}, with q
+    and its image at least 0.5 apart, both at least 0.1 from 1, and any
+    intermediate iterate at least 0.1 from both."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        m, l = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        n = int(rng.integers(1, 3))
+        zeros = [complex(z) for z in 0.6 * np.sqrt(rng.random(n))
+                 * np.exp(2j * np.pi * rng.random(n))]
+        B = from_zero_divisor(
+            Divisor([(z, 1) for z in zeros], "interior"), m)
+        q = cmath.exp(2j * math.pi * rng.random())
+        orbit = blaschke.boundary_orbit(B, q, l)
+        qp = orbit[-1]
+        if abs(qp - q) < 0.5 or min(abs(q - 1.0), abs(qp - 1.0)) < 0.1 \
+                or any(min(abs(w - q), abs(w - qp)) < 0.1
+                       for w in orbit[1:-1]):
+            continue
+        S = Divisor([(q, 1), (qp, 1)], "circle")
+        cases.append((BoundaryDivisor(B, S), q, l,
+                      float(rng.uniform(0.3, 2.5))))
+    return cases
+
+
+def test_prescribe_certifies_free_zero_problems_by_newton(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_winding_search",
+                        lambda *args: calls.append(args))
+    for D, q, l, L in free_zero_problems(50, 20261020):
+        cert = prescribe_distance(D, q, l, L, eps=0.2)
+        assert_remeasured(cert, q, l)
+    assert calls == []
+
+
 def tracked_cases(count: int, seed: int):
     """Seeded products (m = 1..3, l = 1..2, 1..3 other zeros) with the
     free critical point nearest the roaming zero, where it is
@@ -442,6 +521,18 @@ def test_prescribe_refuses_non_finite_scalars(L, eps, tau, deadline):
                            eps=eps, tau=tau)
 
 
+@pytest.mark.parametrize("l, tau, max_attempts", [
+    (1, 1.0, 8), (1, 1.5, 8), (1, 0.0, 8), (1, -1e-3, 8), (1, 1e-3, 2.5),
+    (1, 1e-3, 0), (1, 1e-3, -1), (1, 1e-3, None), (1.5, 1e-3, 8),
+    (math.nan, 1e-3, 8), (math.inf, 1e-3, 8)])
+def test_prescribe_refuses_bad_tau_attempts_and_l_before_any_solve(
+        l, tau, max_attempts, aberth_rows, deadline):
+    with pytest.raises(PreconditionError):
+        prescribe_distance(orbit_reference(), turn(1.0 / 3.0), l, 1.0,
+                           eps=0.2, tau=tau, max_attempts=max_attempts)
+    assert aberth_rows == []
+
+
 def test_prescribe_unreachable_distance_fails_honestly():
     D = orbit_reference()
     with pytest.raises(NumericalError):
@@ -466,6 +557,20 @@ def test_multiplier_profile_matches_closed_form():
         mult = complex(*row["multiplier"])
         assert mult == pytest.approx(r * r + 0j, abs=1e-12)
     assert rows[0]["deviation"] > rows[1]["deviation"] > rows[2]["deviation"]
+
+
+@pytest.mark.parametrize("schedule", [[2.5], [10, 100.5], [10, math.nan]])
+def test_multiplier_refuses_non_integral_schedule(schedule):
+    D = make_boundary([], 1, [(0.25, 1), (0.75, 1)])
+    with pytest.raises(PreconditionError):
+        multiplier_limit_check(D, schedule)
+
+
+def test_multiplier_takes_integral_floats_as_integers():
+    D = make_boundary([], 1, [(0.25, 1), (0.75, 1)])
+    report = multiplier_limit_check(D, [10.0, 100.0])
+    assert report == multiplier_limit_check(D, [10, 100])
+    assert [type(n) for n in report["n_schedule"]] == [int, int]
 
 
 def test_multiplier_rejections():
