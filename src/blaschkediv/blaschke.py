@@ -37,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .divisor import (CIRCLE_TOL, Divisor, REGION_INTERIOR, matching_distance)
-from .errors import ContinuationError, NumericalError, PreconditionError
+from .errors import (ContinuationError, NumericalError, PreconditionError,
+                     _integer)
 from .hypgeo import _hull_contains_all
 
 #: A denominator factor smaller than this counts as pole proximity.
@@ -110,8 +111,7 @@ class BlaschkeProduct:
     """
 
     def __init__(self, free_zeros: Divisor, m: int):
-        if not isinstance(m, int) or m < 1:
-            raise PreconditionError("m must be a positive integer")
+        m = _integer(m, "m", 1, "m must be a positive integer")
         if free_zeros.region != REGION_INTERIOR:
             free_zeros = free_zeros.with_region(REGION_INTERIOR)
         self._m = m
@@ -647,8 +647,7 @@ def zeros_from_critical(R: Divisor, m: int,
     e = R.degree
     if e < 1:
         raise PreconditionError("zeros_from_critical needs degree >= 1")
-    if not isinstance(m, int) or m < 1:
-        raise PreconditionError("m must be a positive integer")
+    m = _integer(m, "m", 1, "m must be a positive integer")
     if not (math.isfinite(newton_tol) and newton_tol > 0):
         raise PreconditionError("newton_tol must be finite and positive")
     if R.region != REGION_INTERIOR:
@@ -686,8 +685,7 @@ def phi_1m_closed_form(a: complex, m: int) -> complex:
     degree-(m+1) product with free zero ``a``; on ``|a| = 1`` the formula
     degenerates to the identity.
     """
-    if not isinstance(m, int) or m < 1:
-        raise PreconditionError("m must be a positive integer")
+    m = _integer(m, "m", 1, "m must be a positive integer")
     a = complex(a)
     if abs(a) > 1.0 + CIRCLE_TOL:
         raise PreconditionError("phi_1m_closed_form needs |a| <= 1")
@@ -716,8 +714,7 @@ def boundary_orbit(B: BlaschkeProduct, q: complex, n: int) -> list[complex]:
     q = complex(q)
     if abs(abs(q) - 1.0) > CIRCLE_TOL:
         raise PreconditionError("boundary_orbit needs a unit-modulus point")
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError("orbit length must be a nonnegative integer")
+    n = _integer(n, "n", 0, "orbit length must be a nonnegative integer")
     orbit = [q / abs(q)]
     for _ in range(n):
         w = B.eval(orbit[-1])

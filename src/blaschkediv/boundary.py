@@ -15,7 +15,7 @@ from .blaschke import (BlaschkeProduct, boundary_orbit, critical_divisor,
                        from_zero_divisor)
 from .divisor import (Divisor, REGION_CIRCLE, REGION_INTERIOR, add,
                       divisor_from_json, divisor_to_json, is_simple)
-from .errors import PreconditionError, SchemaError
+from .errors import PreconditionError, SchemaError, _integer
 
 #: Default orbit search depth; angle expansion under degree-d dynamics
 #: exhausts double precision long before this.
@@ -95,8 +95,7 @@ def extend_phi(D: BoundaryDivisor, m: int) -> Divisor:
     For an interior part with no free zeros (in particular the identity)
     the interior contribution is empty.
     """
-    if not isinstance(m, int) or m < 1:
-        raise PreconditionError("m must be a positive integer")
+    m = _integer(m, "m", 1, "m must be a positive integer")
     free = D.interior_part.free_zeros
     if free.degree >= 1:
         ram = critical_divisor(from_zero_divisor(free, m)).free_ram
@@ -307,13 +306,14 @@ def _exact_power_relation(l_deg: int, angles: list[Fraction],
     return DynrelResult("exact", depth=depth, tol=tol)
 
 
-def _check_sweep(depth: int, tol: float) -> None:
-    """Reject an orbit depth below 1 and a tolerance that is not finite
-    and positive, on which a sweep would answer without searching."""
-    if not isinstance(depth, int) or depth < 1:
-        raise PreconditionError("depth must be a positive integer")
+def _check_sweep(depth: int, tol: float) -> int:
+    """``depth`` as an ``int``, rejecting an orbit depth that is not an
+    integer of at least 1 and a tolerance that is not finite and
+    positive, on which a sweep would answer without searching."""
+    depth = _integer(depth, "depth", 1, "depth must be a positive integer")
     if not (math.isfinite(tol) and tol > 0):
         raise PreconditionError("tol must be finite and positive")
+    return depth
 
 
 def has_dynamical_relation(D: BoundaryDivisor, depth: int = DEFAULT_DEPTH,
@@ -333,7 +333,7 @@ def has_dynamical_relation(D: BoundaryDivisor, depth: int = DEFAULT_DEPTH,
         regular stratum; for ``depth < 1``, or a ``tol`` that is not
         finite and positive.
     """
-    _check_sweep(depth, tol)
+    depth = _check_sweep(depth, tol)
     if D.l < 2:
         raise PreconditionError(
             "dynamical relations are defined for regular divisors (l >= 2)")
@@ -394,7 +394,7 @@ def in_E_zeta(D: BoundaryDivisor, zeta: complex, q: complex,
         For a ``zeta`` off the circle, a ``q`` off the circle, ``depth <
         1``, or a ``tol`` that is not finite and positive.
     """
-    _check_sweep(depth, tol)
+    depth = _check_sweep(depth, tol)
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > 1e-9:
         raise PreconditionError("zeta must be unimodular")
@@ -479,7 +479,7 @@ def classify(D: BoundaryDivisor, depth: int = DEFAULT_DEPTH,
     circle part is simple and avoids 1, and there the extension is the
     constant symbolic map ``z + z^d``.
     """
-    _check_sweep(depth, tol)
+    depth = _check_sweep(depth, tol)
     S = D.circle_part
     if S.degree < 1:
         raise PreconditionError("classification needs a nonempty circle part")

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy shared by the whole package, and the integer
+check that every layer applies to its integer parameters.
 
 The command line front end maps these onto exit codes: precondition
 violations exit 2, numerical failures exit 3, and schema/IO problems
@@ -6,6 +7,8 @@ exit 4.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 
 class CalculusError(Exception):
@@ -48,3 +51,21 @@ class ContinuationError(NumericalError):
 
 class SchemaError(CalculusError, ValueError):
     """Malformed JSON input, unknown config keys, or unreadable files."""
+
+
+def _integer(value, name: str, least: int,
+             message: Optional[str] = None) -> int:
+    """``value`` as an ``int``, refusing with ``PreconditionError`` a
+    value that is not an integer (a numpy integer counts, and so does a
+    float when it is integral) or that is below ``least``.  ``message``,
+    when given, replaces both refusals' messages."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise PreconditionError(
+            message or f"{name} must be an integer, got {value!r}")
+    if n < least:
+        raise PreconditionError(message or f"{name} must be at least {least}")
+    return n

@@ -16,13 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blaschke import (BlaschkeProduct, _critical_divisors, boundary_orbit,
-                       critical_divisor, from_zero_divisor,
-                       multiplier_at_zero)
+from .blaschke import (BlaschkeProduct, _critical_divisors,
+                       _one_zero_critical, boundary_orbit, critical_divisor,
+                       from_zero_divisor, multiplier_at_zero)
 from .boundary import BoundaryDivisor, extend_phi
 from .divisor import (Divisor, REGION_INTERIOR, add, divisor_to_json,
                       is_simple, matching_distance)
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, _integer
 from .hypgeo import HypDisk, hyp_dist
 
 __all__ = [
@@ -34,21 +34,6 @@ __all__ = [
     "prescribe_distance",
     "multiplier_limit_check",
 ]
-
-
-def _integer(value, name: str, least: int) -> int:
-    """``value`` as an ``int``, refusing with ``PreconditionError`` a
-    value that is not an integer (a float counts when it is integral)
-    or that is below ``least``."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise PreconditionError(f"{name} must be an integer, got {value!r}")
-    if n < least:
-        raise PreconditionError(f"{name} must be at least {least}")
-    return n
 
 
 class SweepConfig:
@@ -151,8 +136,7 @@ def sample_neighborhood(D: BoundaryDivisor, m: int, eps: float,
     """
     if not (math.isfinite(eps) and eps > 0):
         raise PreconditionError("eps must be finite and positive")
-    if m < 1:
-        raise PreconditionError("m must be a positive integer")
+    _integer(m, "m", 1, "m must be a positive integer")
     base = (D.interior_part.free_zeros.points()
             + D.circle_part.points())
     atoms = []
@@ -193,6 +177,7 @@ def verify_extension_convergence(D: BoundaryDivisor, m: int,
     carries a radially projected variant of the distance as an angular
     diagnostic, and counts solver failures instead of hiding them.
     """
+    m = _integer(m, "m", 1, "m must be a positive integer")
     rng = np.random.default_rng(cfg.rng_seed)
     target = extend_phi(D, m)
     target_projected = _projected(target)
@@ -449,12 +434,16 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     A free zero ``zeta`` roams a disk around ``q`` while the other
     support points get fixed placements ``(1 - tau) p``; 2-D Newton
     drives ``h(zeta) = B^l(c_q)`` to the inward point of the target
-    hyperbolic circle.  Five starts on the radius toward ``q`` are
-    ranked by the guarded full evaluation of ``h``, which rebuilds the
-    product and picks ``c_q`` among all its critical points, refusing an
-    ambiguous choice; the five products are mapped together (one stacked
-    forward map, ``_critical_divisors``), and each start still counts as
-    one full evaluation in the certificate's ``iterations``.
+    hyperbolic circle.  Five starts ``zeta_i = (1 - d_i) q`` on the
+    radius toward ``q`` are ranked by ``|h - xi|`` from tracked
+    evaluations (``_tracked_orbit``), which rebuild no product and find
+    no other critical point: each refines ``c_q`` from the closed-form
+    critical point of ``z^(m+n) (z - zeta_i)/(1 - conj(zeta_i) z)``,
+    ``n`` the other zeros counted with multiplicity, which is the seed
+    the forward map gives ``zeta_i``'s root without its turn.  A start
+    whose tracked evaluation fails is skipped, each start counts as one
+    evaluation in the certificate's ``iterations``, and the ranked
+    starts hand their tracked ``c_q`` to Newton.
 
     Newton runs in ``(s, phi)`` with ``zeta = (1 - s^2) e^{i phi}`` and
     carries ``s`` and ``phi`` as its state, so ``1 - |zeta| = s^2`` is
@@ -473,12 +462,15 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     ``dzeta/dphi = i zeta``) from the closed-form Wirtinger derivatives
     of ``h``, under a monotone backtracking line search that stops at
     ``|h - xi| < 1e-11`` or 80 steps.  At convergence one guarded full
-    evaluation checks the basin: the root counts only if the critical
-    point it picks is the tracked one within 1e-9, and its orbit value
-    goes into the certificate.  When every start fails, a winding-number
-    quadtree bisection on the full ``h`` is the fallback (the solution
-    exists precisely because that winding is 1).  The certificate's
-    residual is ``|achieved - L|``.
+    evaluation checks the basin; it is the certificate's one forward
+    map.  It rebuilds the product and picks ``c_q`` among all its
+    critical points, refusing an ambiguous choice, and the root counts
+    only if that point is the tracked one within 1e-9; its orbit value
+    goes into the certificate.  So a start whose tracked point is not
+    ``c_q`` can cost a Newton run but cannot yield a certificate.  When
+    every start fails, a winding-number quadtree bisection on the full
+    ``h`` is the fallback (the solution exists precisely because that
+    winding is 1).  The certificate's residual is ``|achieved - L|``.
 
     Refused with ``PreconditionError`` before any solve: a non-finite
     ``L``, ``eps`` or ``tau``, a ``tau`` outside the open interval
@@ -519,34 +511,30 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     m = B.m
     base_atoms = list(B.free_zeros.atoms) + [(x, 1) for x in placements]
     others = [z for z, mult in base_atoms for _ in range(mult)]
+    # the local degree at 0 that the closed-form seed of zeta's root sees
+    seed_m = m + len(others)
     evals = 0
 
     def inside(zeta: complex) -> bool:
         return abs(zeta) < 1.0 - 1e-9 and abs(zeta - q) <= eps
 
-    def full(zetas: list[complex]) -> list[Optional[tuple[complex, complex]]]:
-        """Guarded full evaluations at ``zetas``, by one stacked forward
-        map: the critical point near ``q`` of each rebuilt product and
-        ``h(zeta)``, or None."""
+    def full(zeta: complex) -> Optional[tuple[complex, complex]]:
+        """Guarded full evaluation at ``zeta``: the critical point near
+        ``q`` of the rebuilt product and ``h(zeta)``, or None."""
         nonlocal evals
-        evals += len(zetas)
-        products = {}
-        for i, zeta in enumerate(zetas):
-            if inside(zeta):
-                try:
-                    products[i] = from_zero_divisor(Divisor(
-                        base_atoms + [(zeta, 1)], REGION_INTERIOR), m)
-                except PreconditionError:
-                    pass
-        vals: list = [None] * len(zetas)
-        for i, val in zip(products, _orbits_near(list(products.values()),
-                                                 q, l)):
-            if not isinstance(val, Exception):
-                vals[i] = val
-        return vals
+        evals += 1
+        if not inside(zeta):
+            return None
+        try:
+            product = from_zero_divisor(Divisor(
+                base_atoms + [(zeta, 1)], REGION_INTERIOR), m)
+        except PreconditionError:
+            return None
+        (val,) = _orbits_near([product], q, l)
+        return None if isinstance(val, Exception) else val
 
     def h(zeta: complex) -> Optional[complex]:
-        (val,) = full([zeta])
+        val = full(zeta)
         return None if val is None else val[1]
 
     def tracked(zeta: complex, c0: complex) -> Optional[tuple[complex, ...]]:
@@ -559,7 +547,7 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     def newton(s: float, phi: float,
                c: complex) -> Optional[tuple[complex, complex]]:
         """Root and its full ``h`` from the start ``zeta(s, phi)``, whose
-        full evaluation picked the critical point ``c``; None on
+        tracked evaluation found the critical point ``c``; None on
         failure."""
         z = cmath.rect(1.0 - s * s, phi)
         t = tracked(z, c)
@@ -570,7 +558,7 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
             f -= xi
             err = abs(f)
             if err < 1e-11:
-                (val,) = full([z])
+                val = full(z)
                 if val is None or not abs(val[0] - c) <= 1e-9:
                     return None
                 return z, val[1]
@@ -608,9 +596,12 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     found: Optional[tuple[complex, complex]] = None
     for _ in range(max_attempts):
         depths = [frac * delta for frac in (0.3, 0.1, 0.03, 0.01, 0.003)]
-        starts = [(1.0 - d) * q for d in depths]
-        ranked = [(abs(val[1] - xi), math.sqrt(d), val[0])
-                  for d, val in zip(depths, full(starts)) if val is not None]
+        ranked = []
+        for d in depths:
+            zeta = (1.0 - d) * q
+            t = tracked(zeta, complex(_one_zero_critical(zeta, seed_m)))
+            if t is not None:
+                ranked.append((abs(t[1] - xi), math.sqrt(d), t[0]))
         for _, s0, c0 in sorted(ranked, key=lambda t: t[0]):
             found = newton(s0, phi_q, c0)
             if found is not None:

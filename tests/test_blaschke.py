@@ -1028,11 +1028,45 @@ def test_boundary_orbit_rejects_interior_point():
         boundary_orbit(B, 0.5 + 0j, 3)
 
 
-@pytest.mark.parametrize("n", [2.5, math.nan, 3.0, "3", None])
+@pytest.mark.parametrize("n", [2.5, math.nan, "3", None, -1])
 def test_boundary_orbit_refuses_a_non_integer_length(n):
     B = from_zero_divisor(Divisor([], "interior"), 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="orbit length must be a nonnegative integer"):
         boundary_orbit(B, 1j, n)
+
+
+@pytest.mark.parametrize("m", [np.int64(1), 1.0])
+def test_integral_m_of_any_type_is_stored_as_an_int(m):
+    Z = interior_divisor([0.5, -0.3j])
+    B = from_zero_divisor(Z, m)
+    assert type(B.m) is int and B.m == 1
+    assert critical_divisor(B).free_ram.atoms == critical_divisor(
+        from_zero_divisor(Z, 1)).free_ram.atoms
+    R = critical_divisor(from_zero_divisor(Z, 1)).free_ram
+    inverse = zeros_from_critical(R, m)
+    assert type(inverse.m) is int
+    assert inverse.free_zeros.atoms == zeros_from_critical(
+        R, 1).free_zeros.atoms
+    assert phi_1m_closed_form(0.5, m) == phi_1m_closed_form(0.5, 1)
+
+
+@pytest.mark.parametrize("n", [np.int64(3), 3.0])
+def test_boundary_orbit_takes_an_integral_length_of_any_type(n):
+    B = from_zero_divisor(interior_divisor([0.4j]), 2)
+    assert boundary_orbit(B, 1j, n) == boundary_orbit(B, 1j, 3)
+
+
+@pytest.mark.parametrize("m", [1.5, 0, math.nan, "1", np.int64(0)])
+def test_m_refusals_keep_their_message(m):
+    Z = interior_divisor([0.5])
+    R = interior_divisor([0.3])
+    for call in (lambda: from_zero_divisor(Z, m),
+                 lambda: zeros_from_critical(R, m),
+                 lambda: phi_1m_closed_form(0.5, m)):
+        with pytest.raises(PreconditionError,
+                           match="m must be a positive integer"):
+            call()
 
 
 def test_walsh_spot_and_power_cases():

@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from blaschkediv import (BoundaryDivisor, Divisor, PreconditionError,
@@ -350,6 +351,46 @@ def test_extend_phi_rejects_nonpositive_m(zeros, m):
     D = make_boundary(zeros, 1, [(0.25, 1)])
     with pytest.raises(PreconditionError, match="m must be a positive"):
         extend_phi(D, m)
+
+
+@pytest.mark.parametrize("m", [np.int64(1), 1.0])
+def test_extend_phi_takes_an_integral_m_of_any_type(m):
+    D = make_boundary([0.6], 1, [(0.25, 1)])
+    assert extend_phi(D, m).atoms == extend_phi(D, 1).atoms
+
+
+@pytest.mark.parametrize("m", [1.5, math.nan, "1"])
+def test_extend_phi_refuses_a_non_integral_m(m):
+    D = make_boundary([0.6], 1, [(0.25, 1)])
+    with pytest.raises(PreconditionError, match="m must be a positive"):
+        extend_phi(D, m)
+
+
+@pytest.mark.parametrize("depth", [np.int64(7), 7.0])
+def test_sweeps_take_an_integral_depth_of_any_type(depth):
+    D = make_boundary([0.3 + 0.2j], 1, [(0.123, 1), (0.456, 1)])
+    for check in (lambda d: classify(D, depth=d),
+                  lambda d: has_dynamical_relation(D, depth=d),
+                  lambda d: in_E_zeta(D, 1.0 + 0j, turn(0.777), depth=d)):
+        got, want = check(depth), check(7)
+        if hasattr(got, "to_json"):
+            got, want = got.to_json(), want.to_json()
+        else:
+            got, want = vars(got), vars(want)
+            assert type(got["depth"]) is int
+        assert got == want
+    assert type(has_dynamical_relation(D, depth=depth).depth) is int
+
+
+@pytest.mark.parametrize("depth", [1.5, 0, math.nan, "1"])
+def test_sweeps_refuse_a_non_integral_depth(depth):
+    D = make_boundary([0.3 + 0.2j], 1, [(0.123, 1), (0.456, 1)])
+    for check in (lambda: classify(D, depth=depth),
+                  lambda: has_dynamical_relation(D, depth=depth),
+                  lambda: in_E_zeta(D, 1.0 + 0j, turn(0.777), depth=depth)):
+        with pytest.raises(PreconditionError,
+                           match="depth must be a positive"):
+            check()
 
 
 @pytest.mark.parametrize("depth", [0, -5])

@@ -177,6 +177,26 @@ def test_extension_sweep_interior_control():
     assert rows[1]["max_distance"] < rows[0]["max_distance"]
 
 
+@pytest.mark.parametrize("m", [np.int64(1), 1.0])
+def test_extension_sweep_takes_an_integral_m_of_any_type(m):
+    D = make_boundary([0.6], 1, [(0.25, 1)])
+    cfg = SweepConfig([1e-2], 2, 1)
+    report = verify_extension_convergence(D, m, cfg)
+    assert report == verify_extension_convergence(D, 1, cfg)
+    assert type(report["m"]) is int
+
+
+@pytest.mark.parametrize("m", [1.5, 0, math.nan, "1"])
+def test_extension_sweep_refuses_a_non_integral_m(m):
+    D = make_boundary([0.6], 1, [(0.25, 1)])
+    with pytest.raises(PreconditionError,
+                       match="m must be a positive integer"):
+        verify_extension_convergence(D, m, SweepConfig([1e-2], 2, 1))
+    with pytest.raises(PreconditionError,
+                       match="m must be a positive integer"):
+        sample_neighborhood(D, m, 1e-2, np.random.default_rng(1))
+
+
 @pytest.fixture
 def aberth_rows(monkeypatch) -> list:
     """Record the number of stacked products of each ``_aberth`` run."""
@@ -311,11 +331,12 @@ def nearest_critical_point(B, q: complex) -> complex:
     return ranked[0]
 
 
-def test_prescribe_ranks_the_five_starts_in_one_run(aberth_rows):
+def test_prescribe_certificate_runs_one_forward_map(aberth_rows):
     cert = prescribe_distance(orbit_reference(), turn(1.0 / 3.0), 1, 1.0,
                               eps=0.2)
-    # then one run for the basin check of the root Newton found
-    assert aberth_rows == [5, 1]
+    # the starts are ranked by tracked evaluations, so the basin check of
+    # the root Newton found is the only forward map
+    assert aberth_rows == [1]
     assert cert.residual <= 1e-6
 
 
@@ -431,6 +452,46 @@ def test_prescribe_certifies_free_zero_problems_by_newton(monkeypatch):
         cert = prescribe_distance(D, q, l, L, eps=0.2)
         assert_remeasured(cert, q, l)
     assert calls == []
+
+
+def test_prescribe_starts_track_the_point_the_full_evaluation_picks(
+        monkeypatch):
+    # the ranking's tracked evaluations are the calls that start from
+    # the closed-form seed of zeta's root; at each of them, the guarded
+    # full evaluation of the start's product names the same point
+    starts, winding = [], []
+    track = experiments._tracked_orbit
+
+    def recorded(others, m, l, zeta, c0):
+        t = track(others, m, l, zeta, c0)
+        seed = blaschke._one_zero_critical(zeta, m + len(others))
+        if c0 == complex(seed):
+            starts.append((others, m, zeta, t))
+        return t
+
+    monkeypatch.setattr(experiments, "_tracked_orbit", recorded)
+    monkeypatch.setattr(experiments, "_winding_search",
+                        lambda *args: winding.append(args))
+    problems = free_zero_problems(50, 20261021)
+    problems += [(orbit_reference(), turn(1.0 / 3.0), 1, L)
+                 for L in (0.0, 0.5, 1.0, 2.0)]
+    agreed = 0
+    for D, q, l, L in problems:
+        starts.clear()
+        cert = prescribe_distance(D, q, l, L, eps=0.2)
+        assert_remeasured(cert, q, l)
+        assert len(starts) >= 5
+        for others, m, zeta, t in starts:
+            B = from_zero_divisor(Divisor(
+                [(z, 1) for z in (*others, zeta)], "interior"), m)
+            (guarded,) = experiments._orbits_near([B], q, l)
+            if isinstance(guarded, Exception):
+                continue
+            assert t is not None
+            assert abs(t[0] - guarded[0]) <= 1e-9
+            agreed += 1
+    assert winding == []
+    assert agreed >= 5 * len(problems)
 
 
 def tracked_cases(count: int, seed: int):
