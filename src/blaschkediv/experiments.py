@@ -318,42 +318,6 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
     }
 
 
-def _winding_number(f, corners: list[complex],
-                    samples_per_side: int = 48) -> Optional[float]:
-    """Winding of ``f`` along a rectangle boundary, or None when a
-    sample point cannot be evaluated."""
-    path = []
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        for k in range(samples_per_side):
-            path.append(a + (b - a) * (k / samples_per_side))
-    total = 0.0
-    prev = None
-    first = None
-    for zeta in path:
-        val = f(zeta)
-        if val is None or val == 0:
-            return None
-        ang = math.atan2(val.imag, val.real)
-        if prev is not None:
-            dd = ang - prev
-            while dd > math.pi:
-                dd -= 2.0 * math.pi
-            while dd < -math.pi:
-                dd += 2.0 * math.pi
-            total += dd
-        else:
-            first = ang
-        prev = ang
-    dd = first - prev
-    while dd > math.pi:
-        dd -= 2.0 * math.pi
-    while dd < -math.pi:
-        dd += 2.0 * math.pi
-    total += dd
-    return total / (2.0 * math.pi)
-
-
 #: Newton steps allowed to ``_tracked_orbit`` and the step size that
 #: ends them.
 _TRACK_STEPS = 40
@@ -434,8 +398,9 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     A free zero ``zeta`` roams a disk around ``q`` while the other
     support points get fixed placements ``(1 - tau) p``; 2-D Newton
     drives ``h(zeta) = B^l(c_q)`` to the inward point of the target
-    hyperbolic circle.  Five starts ``zeta_i = (1 - d_i) q`` on the
-    radius toward ``q`` are ranked by ``|h - xi|`` from tracked
+    hyperbolic circle.  Five starts ``zeta_i = (1 - s_i^2) e^{i phi_q}``,
+    ``s_i = sqrt(d_i)``, on the radius toward ``q`` (Newton's own
+    state, below) are ranked by ``|h - xi|`` from tracked
     evaluations (``_tracked_orbit``), which rebuild no product and find
     no other critical point: each refines ``c_q`` from the closed-form
     critical point of ``z^(m+n) (z - zeta_i)/(1 - conj(zeta_i) z)``,
@@ -443,7 +408,8 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     the forward map gives ``zeta_i``'s root without its turn.  A start
     whose tracked evaluation fails is skipped, each start counts as one
     evaluation in the certificate's ``iterations``, and the ranked
-    starts hand their tracked ``c_q`` to Newton.
+    starts hand their tracked evaluations to Newton, which begins from
+    them without evaluating its start again.
 
     Newton runs in ``(s, phi)`` with ``zeta = (1 - s^2) e^{i phi}`` and
     carries ``s`` and ``phi`` as its state, so ``1 - |zeta| = s^2`` is
@@ -468,9 +434,15 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     only if that point is the tracked one within 1e-9; its orbit value
     goes into the certificate.  So a start whose tracked point is not
     ``c_q`` can cost a Newton run but cannot yield a certificate.  When
-    every start fails, a winding-number quadtree bisection on the full
-    ``h`` is the fallback (the solution exists precisely because that
-    winding is 1).  The certificate's residual is ``|achieved - L|``.
+    every start fails, the fallback is a winding-number quadtree
+    bisection on the full ``h`` (``_winding_search``; the solution
+    exists precisely because that winding is 1), whose edge walk
+    bisects each edge only as far as ``h`` turns and evaluates each
+    point once, a few hundred evaluations where the root is near ``q``.
+    Where it finds no cell, or ``h`` fails at the point it returns, the
+    attempt has failed, and the next one halves the search disk.  After
+    ``max_attempts`` failed attempts the solve raises ``NumericalError``.
+    The certificate's residual is ``|achieved - L|``.
 
     Refused with ``PreconditionError`` before any solve: a non-finite
     ``L``, ``eps`` or ``tau``, a ``tau`` outside the open interval
@@ -545,14 +517,10 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
         return _tracked_orbit(others, m, l, zeta, c0)
 
     def newton(s: float, phi: float,
-               c: complex) -> Optional[tuple[complex, complex]]:
+               t: tuple[complex, ...]) -> Optional[tuple[complex, complex]]:
         """Root and its full ``h`` from the start ``zeta(s, phi)``, whose
-        tracked evaluation found the critical point ``c``; None on
-        failure."""
+        tracked evaluation is ``t``; None on failure."""
         z = cmath.rect(1.0 - s * s, phi)
-        t = tracked(z, c)
-        if t is None:
-            return None
         for _ in range(80):
             c, f, h_z, h_zb, c_z, c_zb = t
             f -= xi
@@ -595,22 +563,26 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
     phi_q = cmath.phase(q)
     found: Optional[tuple[complex, complex]] = None
     for _ in range(max_attempts):
-        depths = [frac * delta for frac in (0.3, 0.1, 0.03, 0.01, 0.003)]
         ranked = []
-        for d in depths:
-            zeta = (1.0 - d) * q
+        for frac in (0.3, 0.1, 0.03, 0.01, 0.003):
+            # evaluated at Newton's own start, so Newton begins with it
+            s0 = math.sqrt(frac * delta)
+            zeta = cmath.rect(1.0 - s0 * s0, phi_q)
             t = tracked(zeta, complex(_one_zero_critical(zeta, seed_m)))
             if t is not None:
-                ranked.append((abs(t[1] - xi), math.sqrt(d), t[0]))
-        for _, s0, c0 in sorted(ranked, key=lambda t: t[0]):
-            found = newton(s0, phi_q, c0)
+                ranked.append((abs(t[1] - xi), s0, t))
+        for _, s0, t in sorted(ranked, key=lambda r: r[0]):
+            found = newton(s0, phi_q, t)
             if found is not None:
                 break
         if found is not None:
             break
         best = _winding_search(h, xi, q, delta)
-        if best is not None:
-            found = best, h(best)
+        # a square narrower than the search's floor returns its center,
+        # where h may fail
+        w = None if best is None else h(best)
+        if w is not None:
+            found = best, w
             break
         delta *= 0.5
     if found is None:
@@ -628,22 +600,43 @@ def _winding_search(h, xi: complex, q: complex,
     """Quadtree bisection of the search square guided by the winding
     number of ``h - xi`` on cell boundaries, down to cells 1e-12 wide.
 
-    The square is centered at ``q`` on the circle, so samples outside
+    The square is centered at ``q`` on the circle, so points outside
     the guard radius ``1 - 1e-9`` of ``h`` move radially to
     ``1 - 2e-9``, where ``h`` accepts them.  The root lies within about
     1e-7 of the circle, where the achieved distance is steep: on the
     divisor of m = 2 with support {1/3, 2/3} at L = 1, cells 1e-10 wide
     left a residual of 2.6e-5, cells 1e-12 wide one of 6.8e-8.
-    """
 
-    def f(zeta: complex) -> Optional[complex]:
-        r = abs(zeta)
-        if r >= 1.0 - 1e-9:
-            zeta = zeta * (1.0 - 2e-9) / r
-        val = h(zeta)
-        if val is None:
-            return None
-        return val - xi
+    The winding along a cell boundary is the sum of the turns
+    ``phase(f(b)/f(a))`` of ``f = h - xi`` along its edges, and a sum of
+    such turns is right only while ``f`` turns by less than pi between
+    neighbouring points.  So an edge is bisected until consecutive
+    values turn by at most pi/4, or until its pieces are 1/64 of the
+    cell side, where the turn is taken as it stands.  Both bounds are
+    heuristics, as any fixed count of samples would be; the winding
+    number stays the certificate that a cell holds a root.  Values are
+    kept by point, and corners and dyadic midpoints are the same floats
+    from either direction and at every level, so the edges that sibling
+    and parent cells share are evaluated once.  A point where ``h``
+    fails, or hits ``xi`` exactly, makes the winding of its cells NaN,
+    which never selects a cell.
+    """
+    values: dict[complex, complex] = {}
+
+    def f(zeta: complex) -> complex:
+        if zeta not in values:
+            r = abs(zeta)
+            val = h(zeta * (1.0 - 2e-9) / r if r >= 1.0 - 1e-9 else zeta)
+            values[zeta] = (complex(math.nan) if val is None or val == xi
+                            else val - xi)
+        return values[zeta]
+
+    def turn(a: complex, b: complex, depth: int = 0) -> float:
+        step = cmath.phase(f(b) / f(a))
+        if not abs(step) > math.pi / 4 or depth == 6:
+            return step
+        mid = (a + b) / 2
+        return turn(a, mid, depth + 1) + turn(mid, b, depth + 1)
 
     half = delta / math.sqrt(2.0)
     cell = (q.real - half, q.real + half, q.imag - half, q.imag + half)
@@ -654,16 +647,15 @@ def _winding_search(h, xi: complex, q: complex,
         xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
         subcells = [(x0, xm, y0, ym), (xm, x1, y0, ym),
                     (x0, xm, ym, y1), (xm, x1, ym, y1)]
-        advanced = False
         for sub in subcells:
             corners = [complex(sub[0], sub[2]), complex(sub[1], sub[2]),
                        complex(sub[1], sub[3]), complex(sub[0], sub[3])]
-            w = _winding_number(f, corners)
-            if w is not None and abs(w) > 0.5:
+            winding = sum(turn(a, b) for a, b in zip(
+                corners, corners[1:] + corners[:1])) / (2.0 * math.pi)
+            if abs(winding) > 0.5:
                 cell = sub
-                advanced = True
                 break
-        if not advanced:
+        else:
             return None
     return None
 

@@ -486,6 +486,17 @@ def test_exit_precondition_prescribe_tau_one(capsys, deadline):
     assert json.loads(err)["error"] == "PreconditionError"
 
 
+def test_exit_numerical_prescribe_disk_without_a_root(capsys, deadline):
+    config = {"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3", "l": 1,
+              "L": 1.0, "eps": 1e-12}
+    code, out, err = run_cli(
+        capsys, ["experiment", "prescribe", "--config", json.dumps(config)])
+    assert code == 3 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "NumericalError"
+    assert diagnostic["message"]
+
+
 def test_exit_precondition_negative_rng_seed(capsys):
     config = json.loads(CONVERGE_CONFIG)
     config["rng_seed"] = -1

@@ -388,7 +388,8 @@ def test_prescribe_cubic_two_step_orbit_reverifies(L):
     assert_remeasured(cert, q, 2)
 
 
-def test_prescribe_winding_fallback_alone_certifies(monkeypatch):
+@pytest.mark.parametrize("L", [0.0, 0.5, 1.0, 2.0])
+def test_prescribe_winding_fallback_alone_certifies(L, monkeypatch):
     # with every tracked evaluation failing, Newton never starts and the
     # winding-number quadtree on the full h must find the root by itself
     monkeypatch.setattr(experiments, "_tracked_orbit", lambda *args: None)
@@ -401,9 +402,12 @@ def test_prescribe_winding_fallback_alone_certifies(monkeypatch):
 
     monkeypatch.setattr(experiments, "_winding_search", counted)
     q = turn(1.0 / 3.0)
-    cert = prescribe_distance(orbit_reference(), q, 1, 1.0, eps=0.2)
+    cert = prescribe_distance(orbit_reference(), q, 1, L, eps=0.2)
     assert len(calls) == 1
     assert_remeasured(cert, q, 1)
+    # the edge walk evaluates each point once and bisects an edge only
+    # as far as h turns
+    assert cert.iterations <= 1000
 
 
 @pytest.mark.parametrize("L", [0.0, 0.5, 1.0, 2.0])
@@ -592,6 +596,20 @@ def test_prescribe_refuses_bad_tau_attempts_and_l_before_any_solve(
         prescribe_distance(orbit_reference(), turn(1.0 / 3.0), l, 1.0,
                            eps=0.2, tau=tau, max_attempts=max_attempts)
     assert aberth_rows == []
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-7, 1e-6])
+def test_prescribe_disk_without_a_root_fails_cheaply(eps, aberth_rows,
+                                                     deadline):
+    # the root lies about 5.7e-4 from q, outside these disks; at 1e-12
+    # the halved search square is soon narrower than the quadtree's
+    # floor, so the search returns q itself, where h fails
+    with pytest.raises(NumericalError):
+        prescribe_distance(orbit_reference(), turn(1.0 / 3.0), 1, 1.0,
+                           eps=eps)
+    # every forward map is a full evaluation of the winding search or a
+    # basin check; a fixed sampling of the cell edges ran thousands
+    assert len(aberth_rows) <= 200
 
 
 def test_prescribe_unreachable_distance_fails_honestly():
