@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .blaschke import (BlaschkeProduct, boundary_orbit, critical_divisor,
                        from_zero_divisor)
-from .divisor import (Divisor, REGION_CIRCLE, REGION_INTERIOR, add,
+from .divisor import (Divisor, REGION_CIRCLE, REGION_INTERIOR, _int, add,
                       divisor_from_json, divisor_to_json, is_simple)
 from .errors import PreconditionError, SchemaError, _integer
 
@@ -533,8 +533,8 @@ def boundary_from_json(obj: object) -> BoundaryDivisor:
     extra = set(obj) - {"m", "zeros", "support"}
     if extra:
         raise SchemaError(f"unknown boundary divisor keys {sorted(extra)}")
-    m = obj.get("m", 1)
-    if not isinstance(m, int) or m < 1:
+    m = _int(obj.get("m", 1))
+    if m < 1:
         raise SchemaError("m must be a positive integer")
     zeros = divisor_from_json(obj.get("zeros", []),
                               default_region=REGION_INTERIOR)

@@ -29,7 +29,8 @@ from .blaschke import (critical_divisor, from_zero_divisor,
                        zeros_from_critical)
 from .boundary import (DEFAULT_DEPTH, DEFAULT_TOL, boundary_from_json,
                        classify, extend_phi)
-from .divisor import _atom_from_json, divisor_from_json, divisor_to_json
+from .divisor import (_atom_from_json, _int, divisor_from_json,
+                      divisor_to_json)
 from .errors import (NumericalError, PreconditionError, SchemaError)
 from .experiments import (SweepConfig, multiplier_limit_check,
                           prescribe_distance, verify_cont_orbit,
@@ -179,16 +180,6 @@ def _list(value: object) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
     return value
-
-
-def _int(value: object) -> int:
-    """A JSON number with an integral value (``2.0`` counts)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"expected an integer, got {value!r}")
-    n = int(value)
-    if n != value:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return n
 
 
 def _ints(value: object) -> list[int]:

@@ -440,6 +440,18 @@ def _coordinate(value: object) -> float:
             f"atom coordinate must be a number, got {value!r}") from exc
 
 
+def _int(value: object) -> int:
+    """A JSON number with an integral value: ``2.0`` reads as 2, while
+    ``true``, ``2.5`` and strings are schema errors."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or isinstance(value, bool):
+        raise SchemaError(f"expected an integer, got {value!r}")
+    return n
+
+
 def _atom_from_json(obj: object) -> tuple[complex, int]:
     if isinstance(obj, (int, float)):
         return complex(_coordinate(obj)), 1
@@ -450,8 +462,8 @@ def _atom_from_json(obj: object) -> tuple[complex, int]:
             raise SchemaError(f"atom list must be [re, im], got {obj!r}")
         return complex(_coordinate(obj[0]), _coordinate(obj[1])), 1
     if isinstance(obj, dict):
-        mult = obj.get("mult", 1)
-        if not isinstance(mult, int) or mult <= 0:
+        mult = _int(obj.get("mult", 1))
+        if mult <= 0:
             raise SchemaError(f"atom mult must be a positive integer: {obj!r}")
         if "angle_turns" in obj:
             extra = set(obj) - {"angle_turns", "mult"}

@@ -494,9 +494,9 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
         """Guarded full evaluation at ``zeta``: the critical point near
         ``q`` of the rebuilt product and ``h(zeta)``, or None."""
         nonlocal evals
-        evals += 1
         if not inside(zeta):
             return None
+        evals += 1
         try:
             product = from_zero_divisor(Divisor(
                 base_atoms + [(zeta, 1)], REGION_INTERIOR), m)
@@ -511,9 +511,9 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
 
     def tracked(zeta: complex, c0: complex) -> Optional[tuple[complex, ...]]:
         nonlocal evals
-        evals += 1
         if not inside(zeta):
             return None
+        evals += 1
         return _tracked_orbit(others, m, l, zeta, c0)
 
     def newton(s: float, phi: float,
@@ -602,7 +602,9 @@ def _winding_search(h, xi: complex, q: complex,
 
     The square is centered at ``q`` on the circle, so points outside
     the guard radius ``1 - 1e-9`` of ``h`` move radially to
-    ``1 - 2e-9``, where ``h`` accepts them.  The root lies within about
+    ``1 - 2e-9``, where ``h`` accepts them; the square is narrowed so
+    that those points, too, lie within ``delta`` of ``q``, and ``h``
+    refuses none of them.  The root lies within about
     1e-7 of the circle, where the achieved distance is steep: on the
     divisor of m = 2 with support {1/3, 2/3} at L = 1, cells 1e-10 wide
     left a residual of 2.6e-5, cells 1e-12 wide one of 6.8e-8.
@@ -638,7 +640,10 @@ def _winding_search(h, xi: complex, q: complex,
         mid = (a + b) / 2
         return turn(a, mid, depth + 1) + turn(mid, b, depth + 1)
 
-    half = delta / math.sqrt(2.0)
+    # the clamp adds at most (2e-9)^2 to a squared distance from q, and
+    # 1e-15 covers the rounding of the coordinates
+    half = max(math.sqrt(max(delta * delta - 4e-18, 0.0)) - 1e-15,
+               0.0) / math.sqrt(2.0)
     cell = (q.real - half, q.real + half, q.imag - half, q.imag + half)
     for _ in range(60):
         x0, x1, y0, y1 = cell

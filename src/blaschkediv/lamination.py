@@ -10,12 +10,12 @@ back under ``B`` (multiplication of angles by ``d``), and spends
 is crossed.  Leaf pairs with a positive gap are the lamination chords.
 
 The table is built level by level: one stacked eigenvalue solve finds
-the preimages of every point of the previous level, the candidates are
-sorted by turn and merged into the circle order, and collisions are
-tested between circular neighbours only.  Angles are held as integer
-numerators over ``d^depth`` while the table grows.  The solve works on
-the expanded numerators ``n z^m P - w Q``; this module is the only one
-that builds polynomial coefficients, once per call.
+the preimages of every point of the previous level, each goes to an
+integer slot with no sorted merge, and the work per level is linear in
+its new entries.  Angles are held as integer numerators over
+``d^depth`` while the table grows.  The solve works on the expanded
+numerators ``n z^m P - w Q``; this module is the only one that builds
+polynomial coefficients, once per call.
 """
 
 from __future__ import annotations
@@ -243,12 +243,19 @@ def _arc_mass(support: list[tuple[float, int, complex]], za: np.ndarray,
 def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
     """Build the exact angle table down to the given tree depth.
 
-    Each level solves for the preimages of all its parents at once
-    (``_preimages``), sorts the candidates by turn and merges them into
-    the circle order, so collisions are tested between circular
-    neighbours only: O(N log N) per level.  Every angle is ``k/d^depth``,
-    so the walk holds the numerators ``k`` as integers and makes each
-    ``Fraction`` once, at the end.
+    ``B`` covers the circle ``l`` times and fixes 1, so there it is
+    conjugate to ``z -> z^l`` (Shub, Amer. J. Math. 91, 1969): the
+    entries sit in circle order at the ``l^depth`` slots of turns
+    ``i/l^depth``, level ``k`` fills the multiples of ``l^(depth-k)``,
+    and the parent of slot ``i`` is slot ``l*i mod l^depth``.  Each level
+    solves for the preimages of the previous level's entries at once
+    (``_preimages``); the ``j``-th preimage of slot ``p`` goes to slot
+    ``p/l + j*l^(depth-1)``, with no sorted merge.  One check of the
+    level's ring confirms the circle order, and the angle walk visits
+    the new slots only: the work per level is linear in its new
+    entries.  Every angle is ``k/d^depth``, so the walk holds the
+    numerators ``k`` as integers and makes each ``Fraction`` once, at
+    the end.
 
     Parameters
     ----------
@@ -264,9 +271,9 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
         Singular divisor, or 1 in the support (the angle recursion has
         no consistent convention there).
     NumericalError
-        Preimage collisions, a level that adds other than ``l^lv -
-        l^(lv-1)`` entries, or a monotonicity violation, all of which mean
-        the float geometry can no longer order the combinatorics.
+        Entries of a level that collide or leave circle order, or a
+        pullback or monotonicity violation, all of which mean the float
+        geometry can no longer order the combinatorics.
     """
     if D.l < 2:
         raise PreconditionError("lamination needs a regular divisor (l >= 2)")
@@ -282,91 +289,74 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
                 "the angle recursion is undefined when 1 lies in supp(S)")
         support.append(((cmath.phase(q) / (2.0 * math.pi)) % 1.0, nu, q))
 
-    # tree nodes by creation index (parents before children); angles are
-    # integer numerators over ``one``
+    # entries by slot; angles are integer numerators over ``one``
+    l = B.degree
+    size = l ** depth
+    if size > 2.0 * math.pi / COLLISION_TOL:
+        raise NumericalError(
+            f"{l}^{depth} entries cannot all lie {COLLISION_TOL:g} apart "
+            "on the circle")
     one = d ** depth
-    point: list[complex] = [1.0 + 0j]
-    level: list[int] = [0]
-    tm: list[int] = [0]
-    tp: list[int] = [0]
-    nus: list[int] = [0]
-    parent: list[int] = [0]
-    # circle order: node indices, their points and turns
-    order = np.zeros(1, dtype=int)
-    opts = np.ones(1, dtype=complex)
-    oturns = np.zeros(1)
-    olevels = np.zeros(1, dtype=int)
-
+    pts = np.ones(size, dtype=complex)
+    turns = np.zeros(size)
+    level, tm, tp, nus = ([0] * size for _ in range(4))
+    new = np.zeros(1, dtype=int)
+    step = size
     for lv in range(1, depth + 1):
-        last = olevels == lv - 1
-        cz, ct = _preimages(B, coeffs, opts[last])
-        cpar = np.repeat(order[last], B.degree)
-        by_turn = np.argsort(ct, axis=None, kind="stable")
-        cz, ct, cpar = cz.ravel()[by_turn], ct.ravel()[by_turn], cpar[by_turn]
-        # a candidate on an existing entry is that entry; the nearest
-        # entries in turn are its circular neighbours
-        pos = np.searchsorted(oturns, ct, side="right")
-        known = ((np.abs(cz - opts[pos - 1]) <= COLLISION_TOL)
-                 | (np.abs(cz - opts[pos % len(order)]) <= COLLISION_TOL))
-        cz, ct, cpar, pos = cz[~known], ct[~known], cpar[~known], pos[~known]
-        # B^-lv(1) has l^lv points, and B^-(lv-1)(1) is among them
-        if len(cz) != (B.degree - 1) * len(order):
+        cz, ct = _preimages(B, coeffs, pts[new])
+        if lv == 1:
+            # B(1) = 1: drop the root's own preimage, at turn 0 or just
+            # below 1
+            own = np.abs(cz[0] - 1.0) <= COLLISION_TOL
+            if np.count_nonzero(own) != 1:
+                raise NumericalError(
+                    "level 1 entries collide with 1 or miss it")
+            cz, ct = cz[:, ~own], ct[:, ~own]
+        step //= l
+        # preimage j of slot p goes to slot p/l + j*l^(depth-1): branch by
+        # branch, the new slots ascend
+        new = np.arange(step, size, step)
+        new = new[new % (l * step) != 0]
+        pts[new], turns[new] = cz.T.ravel(), ct.T.ravel()
+        ring, ring_turns = pts[::step], turns[::step]
+        if not (np.all(np.diff(ring_turns, append=1.0) > 0) and np.all(
+                np.abs(ring - np.roll(ring, -1)) > COLLISION_TOL)):
             raise NumericalError(
-                f"level {lv} adds {len(cz)} entries, not "
-                f"{(B.degree - 1) * len(order)}: floats no longer tell its "
-                "preimages from the entries")
-        if len(cz) > 1 and np.any(
-                np.abs(cz - np.roll(cz, 1)) <= COLLISION_TOL):
-            raise NumericalError("two preimages collide on the circle")
-        new = -1 - np.arange(len(cz))
-        order = np.insert(order, pos, new)
-        opts = np.insert(opts, pos, cz)
-        oturns = np.insert(oturns, pos, ct)
-        olevels = np.insert(olevels, pos, lv)
-        # the root has turn exactly 0, so every candidate has a predecessor
-        at = pos + np.arange(len(cz))
-        arc = _arc_mass(support, opts[at - 1], oturns[at - 1], cz, ct)
-        nu_here = np.zeros(len(cz), dtype=int)
+                f"level {lv} entries collide or leave circle order: floats "
+                "no longer order its preimages")
+        arc = _arc_mass(support, pts[new - step], turns[new - step],
+                        pts[new], turns[new])
+        nu_here = np.zeros(len(new), dtype=int)
         for _, nu, q in reversed(support):
-            nu_here[np.abs(q - cz) <= COLLISION_TOL] = nu
-        arc, nu_here = arc.tolist(), nu_here.tolist()
-        cz, cpar = cz.tolist(), cpar.tolist()
-        prev = -1
-        for k, node in enumerate(order.tolist()):
-            if node < 0:
-                j = -1 - node
-                par = cpar[j]
-                img_gap = (tm[par] - tp[parent[prev]]) % one or one
-                lo = tp[prev] + (img_gap + arc[j] * one) // d
-                hi = lo + (nu_here[j] * one + tp[par] - tm[par]) // d
-                if not (tp[prev] < lo and hi < one):
-                    raise NumericalError(
-                        "angle monotonicity violated while inserting level "
-                        f"{lv}")
-                if (lo * d) % one != tm[par] or (hi * d) % one != tp[par]:
-                    raise NumericalError(
-                        f"pullback consistency violated at level {lv}")
-                node = len(point)
-                order[k] = node
-                point.append(cz[j])
-                level.append(lv)
-                tm.append(lo)
-                tp.append(hi)
-                nus.append(nu_here[j])
-                parent.append(par)
-            elif prev >= 0 and tp[prev] > tm[node]:
+            nu_here[np.abs(q - pts[new]) <= COLLISION_TOL] = nu
+        for s, a, nu in zip(new.tolist(), arc.tolist(), nu_here.tolist()):
+            par, prev = l * s % size, s - step
+            img_gap = (tm[par] - tp[l * prev % size]) % one or one
+            lo = tp[prev] + (img_gap + a * one) // d
+            hi = lo + (nu * one + tp[par] - tm[par]) // d
+            if not (tp[prev] < lo and hi < one):
+                raise NumericalError(
+                    "angle monotonicity violated while inserting level "
+                    f"{lv}")
+            if (lo * d) % one != tm[par] or (hi * d) % one != tp[par]:
+                raise NumericalError(
+                    f"pullback consistency violated at level {lv}")
+            # the next slot, when older, must still lie above
+            nxt = s + step
+            if nxt < size and nxt % (l * step) == 0 and hi > tm[nxt]:
                 raise NumericalError(
                     "angle monotonicity violated while re-walking level "
                     f"{lv}")
-            prev = node
+            level[s], tm[s], tp[s], nus[s] = lv, lo, hi, nu
 
-    entries: list[AngleEntry] = []
-    for i in range(len(point)):
-        lo = Fraction(tm[i], one)
-        hi = lo if tp[i] == tm[i] else Fraction(tp[i], one)
-        entries.append(AngleEntry(point[i], level[i], lo, hi, nus[i],
-                                  entries[parent[i]] if i else None))
-    return LaminationTable([entries[i] for i in order], depth, D)
+    entries = []
+    for z, lvl, lo, hi, nu in zip(pts.tolist(), level, tm, tp, nus):
+        theta = Fraction(lo, one)
+        entries.append(AngleEntry(z, lvl, theta, theta if hi == lo
+                                  else Fraction(hi, one), nu, None))
+    for i, entry in enumerate(entries):
+        entry.parent = entries[l * i % size]
+    return LaminationTable(entries, depth, D)
 
 
 def ray_pairs(T: LaminationTable) -> list[tuple[Fraction, Fraction]]:

@@ -445,3 +445,16 @@ def test_boundary_json_schema_errors():
         boundary_from_json({"m": 0, "support": ["1/4"]})
     with pytest.raises(SchemaError):
         boundary_from_json([1, 2, 3])
+
+
+def test_boundary_json_integers_refuse_booleans_and_take_integral_floats():
+    with pytest.raises(SchemaError):
+        boundary_from_json({"m": True, "support": ["1/4"]})
+    with pytest.raises(SchemaError):
+        boundary_from_json({"m": 2, "support": [
+            {"angle_turns": "1/4", "mult": True}]})
+    D = boundary_from_json({"m": 2.0, "support": [
+        {"angle_turns": "1/4", "mult": 2.0}]})
+    assert D.interior_part.m == 2 and type(D.interior_part.m) is int
+    assert D.circle_part.atoms[0][1] == 2
+    assert type(D.circle_part.atoms[0][1]) is int

@@ -578,6 +578,18 @@ def test_exit_schema_non_numeric_atom(zeros, capsys):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["extend", "--divisor", '{"m": true, "support": ["1/3"]}'],
+    ["critpts", "--zeros", '[{"re": 0.5, "im": 0, "mult": true}]', "--m",
+     "1"],
+])
+def test_exit_schema_boolean_integer(argv, capsys):
+    # JSON true is not the integer 1, in a divisor as in a config
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
 def experiment_config(name: str) -> dict:
     return {
         "cont-orbit": {"divisor": json.loads(ORBIT_DIVISOR), "q": "1/3",

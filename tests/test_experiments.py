@@ -612,6 +612,55 @@ def test_prescribe_disk_without_a_root_fails_cheaply(eps, aberth_rows,
     assert len(aberth_rows) <= 200
 
 
+@pytest.mark.parametrize("L, eps", [(1.0, 0.2), (0.5, 0.2), (1.0, 1e-6),
+                                    (1.0, 1e-7)])
+def test_prescribe_counts_the_evaluations_it_runs(L, eps, monkeypatch,
+                                                  deadline):
+    # a point that the eps-disk or the guard radius refuses reaches no
+    # map and is not counted
+    calls = {"tracked": 0, "full": 0}
+    track, orbits = experiments._tracked_orbit, experiments._orbits_near
+
+    def tracked(*args):
+        calls["tracked"] += 1
+        return track(*args)
+
+    def full(*args):
+        calls["full"] += 1
+        return orbits(*args)
+
+    monkeypatch.setattr(experiments, "_tracked_orbit", tracked)
+    monkeypatch.setattr(experiments, "_orbits_near", full)
+    try:
+        count = prescribe_distance(orbit_reference(), turn(1.0 / 3.0), 1, L,
+                                   eps=eps).iterations
+    except NumericalError as exc:
+        count = int(str(exc).split(" after ")[1].split()[0])
+    assert calls["tracked"] > 0
+    assert count == calls["tracked"] + calls["full"]
+
+
+def test_winding_search_asks_only_for_points_inside_the_disk(monkeypatch,
+                                                             deadline):
+    # the search square's corners lie within eps of q after the radial
+    # clamp, so inside() refuses none of the search's points
+    eps, q = 1e-6, turn(1.0 / 3.0)
+    asked = []
+    search = experiments._winding_search
+
+    def recorded(h, xi, center, delta):
+        def h_recorded(zeta):
+            asked.append(zeta)
+            return h(zeta)
+        return search(h_recorded, xi, center, delta)
+
+    monkeypatch.setattr(experiments, "_winding_search", recorded)
+    with pytest.raises(NumericalError):
+        prescribe_distance(orbit_reference(), q, 1, 1.0, eps=eps)
+    assert len(asked) > 50
+    assert all(abs(z) < 1.0 - 1e-9 and abs(z - q) <= eps for z in asked)
+
+
 def test_prescribe_unreachable_distance_fails_honestly():
     D = orbit_reference()
     with pytest.raises(NumericalError):

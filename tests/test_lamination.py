@@ -342,13 +342,63 @@ def test_coinciding_candidates_raise(monkeypatch):
 
 def test_level_short_of_entries_raises():
     # a level-5 preimage lies 8.4e-13 from a level-4 entry, within the
-    # collision tolerance, so it passed for that entry and the table came
-    # out one entry short of 4**5 = 1024
+    # collision tolerance, so floats cannot order level 5
     D = make_boundary([0.698817615135042 + 0.7139012121974386j,
                        0.9989378816358974 + 0.01114040541388548j], 2, [])
     assert len(lamination_table(D, 4)) == 4 ** 4
-    with pytest.raises(NumericalError, match="level 5 adds 767 entries"):
+    with pytest.raises(NumericalError, match="level 5 entries collide"):
         lamination_table(D, 5)
+
+
+def seeded_boundaries(seed: int, count: int):
+    """Seeded regular divisors, m = 1..3 with zero to two free zeros
+    inside radius 0.9 and one or two support atoms, with depths up to 6
+    and at most 1024 entries."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        m, n = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        if m + n < 2:
+            continue
+        zeros = 0.9 * np.sqrt(rng.random(n)) * np.exp(
+            2j * np.pi * rng.random(n))
+        support = [(float(t), int(nu)) for t, nu in zip(
+            rng.uniform(0.05, 0.95, int(rng.integers(1, 3))),
+            rng.integers(1, 3, 2))]
+        depth = int(rng.integers(1, 7))
+        while (m + n) ** depth > 1024:
+            depth -= 1
+        cases.append((make_boundary(zeros, m, support), depth))
+    return cases
+
+
+def test_parent_of_slot_i_is_slot_l_i():
+    # the entries sit at the slots of z -> z^l, whose squaring-like map
+    # sends slot i to slot l*i mod l^depth
+    cases = seeded_boundaries(20261021, 24)
+    assert {D.interior_part.m for D, _ in cases} == {1, 2, 3}
+    assert {D.l for D, _ in cases} == {2, 3, 4}
+    assert max(depth for _, depth in cases) == 6
+    assert any(D.interior_part.free_zeros.atoms for D, _ in cases)
+    assert any(not D.interior_part.free_zeros.atoms for D, _ in cases)
+    for D, depth in cases:
+        table = lamination_table(D, depth)
+        size = D.l ** depth
+        assert len(table) == size
+        for i, e in enumerate(table.entries):
+            parent = table.entries[D.l * i % size]
+            assert e.parent is parent
+            assert abs(D.interior_part.eval(e.point) - parent.point) <= 1e-9
+
+
+@pytest.mark.parametrize("m, support, depth", [
+    (2, [(0.5, 1)], 6), (3, [(1.0 / 3.0, 1), (2.0 / 3.0, 2)], 5),
+    (4, [(0.3, 1)], 4)])
+def test_power_map_entry_i_sits_at_turn_i_over_size(m, support, depth):
+    table = lamination_table(make_boundary([], m, support), depth)
+    size = m ** depth
+    for i, e in enumerate(table.entries):
+        assert abs(e.point - turn(i / size)) <= 1e-12
 
 
 def test_entry_near_finds_every_entry():
