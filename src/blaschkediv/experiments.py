@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blaschke import (BlaschkeProduct, _critical_divisors,
-                       _one_zero_critical, boundary_orbit, critical_divisor,
-                       from_zero_divisor, multiplier_at_zero)
+                       _one_zero_critical, _sums, boundary_orbit,
+                       critical_divisor, from_zero_divisor,
+                       multiplier_at_zero)
 from .boundary import BoundaryDivisor, extend_phi
 from .divisor import (Divisor, REGION_INTERIOR, add, divisor_to_json,
                       is_simple, matching_distance)
@@ -329,10 +330,10 @@ def _tracked_orbit(zeros: Sequence[complex], m: int, l: int, zeta: complex,
     """Track one critical point of the product with free zeros ``zeros``
     plus ``zeta`` and run its orbit, with Wirtinger derivatives in ``zeta``.
 
-    Newton from ``c0`` on the factored numerator
-    ``f(z) = m + z sum_k w_k/g_k`` (``g_k = (z-a_k)(1-conj(a_k)z)``,
-    ``w_k = 1-|a_k|^2``, ``f' = sum_k w_k(conj(a_k)z^2-a_k)/g_k^2``, the
-    formulas of the kernel ``blaschke._aberth``) stops on the step size.
+    Newton from ``c0`` on the factored numerator ``f(z) = m + z sum_k
+    w_k/g_k``, ``w_k = 1-|a_k|^2``, stops on the step size; ``f`` and
+    ``f'`` come from ``blaschke._sums``, the scalar kernel that the
+    forward map runs on for a lone product of few zeros.
     The implicit function theorem gives ``dc/dzeta = -F_zeta/f'(c)`` and
     ``dc/dconj(zeta) = -F_conj(zeta)/f'(c)`` from the zeta term
     ``z(1-|zeta|^2)/((z-zeta)(1-conj(zeta)z))`` of ``f``, whose
@@ -350,12 +351,8 @@ def _tracked_orbit(zeros: Sequence[complex], m: int, l: int, zeta: complex,
     try:
         c = c0
         for _ in range(_TRACK_STEPS):
-            s = df = 0j
-            for a, ab, wk in terms:
-                g = (c - a) * (1.0 - ab * c)
-                s += wk / g
-                df += wk * (ab * c * c - a) / (g * g)
-            step = (m + c * s) / df
+            _, f, df = _sums(terms, m, c)
+            step = f / df
             if not (cmath.isfinite(step) and abs(step) <= 1.0):
                 return None
             c -= step
@@ -365,19 +362,15 @@ def _tracked_orbit(zeros: Sequence[complex], m: int, l: int, zeta: complex,
                 break
         else:
             return None
-        norm = 1.0 + 0j
-        for a, ab, _ in terms:
-            norm *= (1.0 - ab) / (1.0 - a)
+        norm = math.prod((1.0 - ab) / (1.0 - a) for a, ab, _ in terms)
         c_z = -c / ((c - zeta) ** 2 * df)
         c_zb = -c / ((1.0 - zb * c) ** 2 * df)
         w, h_z, h_zb = c, c_z, c_zb
         for _ in range(l):
-            s = 0j
             bw = norm * w ** m
-            for a, ab, wk in terms:
+            for a, ab, _ in terms:
                 bw *= (w - a) / (1.0 - ab * w)
-                s += wk / ((w - a) * (1.0 - ab * w))
-            dbw = bw * (m / w + s)
+            dbw = bw * _sums(terms, m, w)[1] / w
             h_z = dbw * h_z + bw * (1.0 / (1.0 - zeta) - 1.0 / (w - zeta))
             h_zb = dbw * h_zb + bw * (w / (1.0 - zb * w) - 1.0 / (1.0 - zb))
             w = bw
@@ -568,7 +561,7 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
             # evaluated at Newton's own start, so Newton begins with it
             s0 = math.sqrt(frac * delta)
             zeta = cmath.rect(1.0 - s0 * s0, phi_q)
-            t = tracked(zeta, complex(_one_zero_critical(zeta, seed_m)))
+            t = tracked(zeta, _one_zero_critical(zeta, seed_m))
             if t is not None:
                 ranked.append((abs(t[1] - xi), s0, t))
         for _, s0, t in sorted(ranked, key=lambda r: r[0]):

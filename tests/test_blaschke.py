@@ -489,7 +489,7 @@ def factored_verdicts(a, mu, m, norm, z) -> np.ndarray:
             & (abs(z) < 1.0)).all(axis=1)
 
 
-def test_partial_fraction_check_matches_the_factored_form():
+def test_partial_fraction_check_matches_the_factored_form(monkeypatch):
     # e = 1..24 at radii up to 1 - 1e-6, every fifth draw with doubled
     # zeros, each at the points Aberth found and moved off them
     rng = np.random.default_rng(27)
@@ -511,8 +511,13 @@ def test_partial_fraction_check_matches_the_factored_form():
             assert got == want, (e, m, r, move)
             verdicts.append(got)
     assert 0 < sum(verdicts) < len(verdicts)
-    # the subnormal zero fails both forms
+    # the scalar run of a subnormal zero starts at its exact root, where
+    # the check still fails, since its 1/g_k overflows
     a, mu = np.array([[2.2250738585e-313 + 0j]]), np.ones((1, 1), int)
+    z, _, _, _ = blaschke._aberth(a, mu, 1)
+    assert blaschke._checked(a, mu, 1, z)[1][0] is not None
+    # and the numpy run's points fail both forms
+    monkeypatch.setattr(blaschke, "_SCALAR_D", 0)
     z, _, _, _ = blaschke._aberth(a, mu, 1)
     with np.errstate(all="ignore"):
         assert not factored_verdicts(a, mu, 1, np.ones(1), z.copy())[0]
@@ -596,6 +601,107 @@ def test_check_reads_the_capped_run_of_a_triple_atom(monkeypatch):
     ((a, mu, m, run),) = runs
     assert not run[1]
     assert_check_reads_the_run(a, mu, m, run)
+
+
+@pytest.fixture(params=["scalar", "numpy"])
+def route(request, monkeypatch) -> str:
+    """Map a lone product of at most ``_SCALAR_D`` distinct nonzero zeros
+    on the scalar route, as the package does, or on numpy."""
+    if request.param == "numpy":
+        monkeypatch.setattr(blaschke, "_SCALAR_D", 0)
+    return request.param
+
+
+def test_one_zero_critical_is_the_same_for_numbers_and_arrays():
+    # every operation is correctly rounded on equal operands, so the two
+    # forms agree bit for bit, out to |a| = 1
+    rng = np.random.default_rng(3301)
+    radius = np.concatenate((np.sqrt(rng.random(2000)), [0.0, 1.0],
+                             1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 1000)))
+    a = radius * np.exp(2j * np.pi * rng.random(len(radius)))
+    for m in (1, 2, 3, 7):
+        got = [blaschke._one_zero_critical(complex(x), m) for x in a]
+        assert all(type(c) is complex for c in got)
+        assert np.array_equal(np.array(got), blaschke._one_zero_critical(a, m))
+
+
+@pytest.mark.parametrize("tiny", [2.2250738585e-313, 1e-320])
+def test_subnormal_zero_is_a_numerical_error_on_both_routes(tiny, route):
+    # no ZeroDivisionError or OverflowError escapes the scalar route
+    for zeros in ([tiny], [tiny, 0.5], [tiny, 0.3j, -0.4]):
+        with pytest.raises(NumericalError):
+            critical_divisor(from_zero_divisor(interior_divisor(zeros), 1))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_scalar_check_reads_the_evaluation_at_the_step_cap(steps,
+                                                           monkeypatch):
+    monkeypatch.setattr(blaschke, "_ABERTH_STEPS", steps)
+    rng = np.random.default_rng(3302)
+    for d in range(1, blaschke._SCALAR_D + 1):
+        for doubled in (0, 1):
+            a = 0.9 * np.sqrt(rng.random((1, d))) * np.exp(
+                2j * np.pi * rng.random((1, d)))
+            mu = np.ones((1, d), int)
+            mu[0, 0] += doubled
+            run = blaschke._aberth(a, mu, 2)
+            assert isinstance(run[2], list)
+            # one simple zero starts at its exact root
+            assert run[1] == (steps > 0 and d == 1 and not doubled)
+            assert_check_reads_the_run(a, mu, 2, run)
+
+
+def test_aberth_converges_on_real_zeros_on_both_routes(route, monkeypatch):
+    runs, aberth = [], blaschke._aberth
+
+    def recorded(*args):
+        z, converged, r, f = aberth(*args)
+        runs.append((converged, isinstance(r, list)))
+        return z, converged, r, f
+
+    monkeypatch.setattr(blaschke, "_aberth", recorded)
+    rng = np.random.default_rng(3303)
+    for e in range(1, blaschke._SCALAR_D + 1):
+        for _ in range(20):
+            zeros = rng.uniform(-0.95, 0.95, e)
+            critical_divisor(from_zero_divisor(interior_divisor(zeros),
+                                               int(rng.integers(1, 4))))
+    assert runs == [(True, route == "scalar")] * (20 * blaschke._SCALAR_D)
+
+
+def test_scalar_route_equals_the_numpy_route(monkeypatch):
+    # every d up to the crossover, from the seeds and from points near the
+    # roots as the inverse's check starts, at radii out to 1 - 1e-6, with
+    # m = 1..3 and with a doubled zero.  Near the circle each route stops
+    # at its own rounding floor: 2 of 1800 seeded draws there put them
+    # more than 4e-15 apart, at most 7.2e-15, where the numpy point lay
+    # 5.0e-15 and the scalar one 2.0e-15 from a 40-digit root
+    def forward(a, mu, m, start, scalar_d):
+        monkeypatch.setattr(blaschke, "_SCALAR_D", scalar_d)
+        z, converged, r, f = blaschke._aberth(a, mu, m, start)
+        assert isinstance(r, list) == (scalar_d > 0)
+        z, (failure,) = blaschke._checked(a, mu, m, z, r, f)
+        return np.array(z)[0], converged, failure is None
+
+    rng = np.random.default_rng(3304)
+    crossover = blaschke._SCALAR_D
+    for d in range(1, crossover + 1):
+        for radius in (0.7, 0.9, 0.999, 1.0 - 1e-6):
+            for m in (1, 2, 3):
+                for doubled in (0, 1):
+                    a = radius * np.sqrt(rng.random((1, d))) * np.exp(
+                        2j * np.pi * rng.random((1, d)))
+                    mu = np.ones((1, d), int)
+                    mu[0, 0] += doubled
+                    roots = forward(a, mu, m, None, 0)[0]
+                    near = roots * (1.0 + 1e-9 * np.exp(
+                        2j * np.pi * rng.random(d)))
+                    for start in (None, near[None]):
+                        want = forward(a, mu, m, start, 0)
+                        got = forward(a, mu, m, start, crossover)
+                        assert got[1:] == want[1:], (d, radius, m, doubled)
+                        assert abs(got[0] - want[0]).max() <= (
+                            1e-15 if radius < 0.95 else 1e-14)
 
 
 def test_forward_map_needs_no_factored_derivative(monkeypatch):

@@ -442,6 +442,19 @@ def test_exit_numerical_subnormal_zero(capsys):
     assert json.loads(err)["error"] == "NumericalError"
 
 
+@pytest.mark.parametrize("scalar_d", [0, blaschke._SCALAR_D])
+def test_exit_numerical_subnormal_zero_on_both_routes(capsys, monkeypatch,
+                                                      scalar_d):
+    # the zero's lone product on numpy, and on the scalar route
+    monkeypatch.setattr(blaschke, "_SCALAR_D", scalar_d)
+    code, out, err = run_cli(
+        capsys, ["critpts", "--zeros", "[1e-320]", "--m", "1"])
+    assert code == 3 and out == ""
+    diagnostic = json.loads(err)
+    assert sorted(diagnostic) == ["error", "message"]
+    assert diagnostic["error"] == "NumericalError"
+
+
 def test_exit_numerical_continuation_stall(capsys, monkeypatch):
     monkeypatch.setattr(blaschke, "_inverse_newton", lambda *args: None)
     code, out, err = run_cli(
