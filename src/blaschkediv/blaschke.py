@@ -8,14 +8,18 @@ interior divisor of degree ``e``; the forward map sends it to the degree-e
 divisor of free critical points, by one Aberth run on the factored
 numerator of ``B'`` from closed-form one-zero seeds, whose points are
 checked at the run's last evaluation, the one at which its step fell
-below the tolerance, without evaluating them again.  That run takes a
+below the tolerance, without evaluating them again.  A run that ends on
+roots outside the disk, the mirrors of interior ones, runs on once from
+their mirrors, so that its last evaluation is still at the interior
+points it returns.  That run takes a
 stack of products at once: ``critical_divisor`` maps one product, and the
 experiments map all their products of one shape (the same number of
 distinct nonzero zeros and local degree at 0) in one run, each product
 getting the points it would get alone.  A stack of one product with at
 most ``_SCALAR_D`` distinct nonzero zeros, below the measured crossover
 where numpy's fixed cost per call dominates, takes the same run and
-check in plain Python complex arithmetic.  Nothing here expands ``B`` into
+check in plain Python complex arithmetic.  The product's own ``eval``
+and ``deriv`` are one scalar pass over its factors each.  Nothing here expands ``B`` into
 polynomial coefficients; only the lamination's preimage solve does.  The
 inverse solves for the zeros themselves by Newton's method on the
 conditions that the partial-fraction form of ``B'/B`` vanish at the
@@ -154,12 +158,6 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return self.e + self.m
 
-    def _check_pole(self, z: complex) -> None:
-        for a in self._zeros:
-            if abs(1.0 - a.conjugate() * z) < POLE_TOL:
-                raise NumericalError(
-                    f"evaluation too close to the pole 1/conj({a!r})")
-
     def eval(self, z: complex) -> complex:
         """Value of the product at ``z`` (disk to disk, circle to circle).
 
@@ -169,20 +167,32 @@ class BlaschkeProduct:
             If any denominator factor is smaller than ``POLE_TOL``.
         """
         z = complex(z)
-        self._check_pole(z)
         w = self.normalization * z ** self.m
         for a in self._zeros:
-            w *= (z - a) / (1.0 - a.conjugate() * z)
+            h = 1.0 - a.conjugate() * z
+            if abs(h) < POLE_TOL:
+                raise NumericalError(
+                    f"evaluation too close to the pole 1/conj({a!r})")
+            w *= (z - a) / h
         return w
 
     def deriv(self, z: complex) -> complex:
-        """Derivative at ``z`` by ``_deriv`` (factored, so exact at zeros
-        of ``B`` where logarithmic differentiation breaks down); raises
+        """Derivative at ``z`` by one product-rule pass over the factors
+        ``phi_k = (z-a_k)/h_k``, ``h_k = 1-conj(a_k)z``, whose derivatives
+        are ``(1-|a_k|^2)/h_k^2``: exact at the zeros of ``B``, where
+        logarithmic differentiation breaks down.  Raises
         ``NumericalError`` near a pole, as ``eval`` does."""
         z = complex(z)
-        self._check_pole(z)
-        return _deriv(np.array(self._zeros, complex), self.m,
-                      self.normalization, z)
+        w = self.normalization * z ** self.m
+        dw = self.normalization * self.m * z ** (self.m - 1)
+        for a in self._zeros:
+            h = 1.0 - a.conjugate() * z
+            if abs(h) < POLE_TOL:
+                raise NumericalError(
+                    f"evaluation too close to the pole 1/conj({a!r})")
+            phi = (z - a) / h
+            dw, w = dw * phi + w * (1.0 - abs(a) ** 2) / (h * h), w * phi
+        return dw
 
     def __repr__(self) -> str:
         return (f"BlaschkeProduct(m={self.m}, "
@@ -218,24 +228,8 @@ def from_zero_divisor(Z: Divisor, m: int) -> BlaschkeProduct:
     return BlaschkeProduct(Z, m)
 
 
-def _deriv(a: np.ndarray, m: int, norm: complex, z: complex) -> complex:
-    """``B'(z)`` for ``B = norm z^m prod_k phi_k``, ``phi_k =
-    (z-a_k)/(1-conj(a_k)z)`` over the zeros ``a`` (each repeated by its
-    multiplicity), as ``norm z^(m-1) M/Q^2`` with ``Q = prod_k
-    (1-conj(a_k)z)`` and the factored numerator ``M = m prod_k g_k + z
-    sum_k w_k prod_(j!=k) g_j`` of ``_aberth``'s ``F``: exact at the zeros
-    of ``B``, where logarithmic differentiation breaks down."""
-    h = 1.0 - a.conjugate() * z
-    g = (z - a) * h
-    # prod_(j!=k) g_j as the products of the factors before and after k
-    others = (np.cumprod(np.concatenate(([1.0], g)))[:-1]
-              * np.cumprod(np.concatenate(([1.0], g[::-1])))[-2::-1])
-    mv = m * g.prod() + z * (others @ (1.0 - abs(a) ** 2))
-    return complex(norm * z ** (m - 1) * mv / h.prod() ** 2)
-
-
 def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
-            start: Optional[np.ndarray] = None) -> tuple[np.ndarray, bool]:
+            start: Optional[np.ndarray] = None) -> tuple:
     """Up to ``_ABERTH_STEPS`` Aberth steps, on each row ``i`` of the
     ``(k, d)`` stacks ``a`` and ``mu`` at once, on the interior roots of
     ``F = f prod_k g_k``, ``f = m + z sum_k mu_k w_k/g_k``, with
@@ -257,11 +251,15 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
     began.  The rows are independent problems stepped
     together until every step of every row falls below ``_ABERTH_TOL *
     |z|``; a row that has converged keeps taking its (vanishing) steps.
-    Returns the ``(k, d)`` points at which that happened (at the step cap,
-    those after the last step), whether it did, and the evaluation at
-    exactly those points that ``_checked`` reads: ``1/g_k`` at each point
-    as ``(k, d, d)`` and ``f`` as ``(k, d)``.  A stack of one row with
-    ``d <= _SCALAR_D`` runs in ``_aberth_scalar`` instead."""
+    A run that ends with a point outside the disk, the mirror of an
+    interior root of ``F``, runs on once, from ``1/conj(z)`` there, so
+    the points it returns lie inside the disk unless that second run
+    leaves it again.  Returns the ``(k, d)`` points at which the last run
+    stopped (at the step cap, those after its last step), whether it
+    converged, and its last evaluation, at exactly those points, which
+    ``_checked`` reads: ``1/g_k`` at each point as ``(k, d, d)`` and
+    ``f`` as ``(k, d)``.  A stack of one row with ``d <= _SCALAR_D`` runs
+    in ``_aberth_scalar`` instead."""
     k, d = a.shape
     if k == 1 and d <= _SCALAR_D:
         return _aberth_scalar(a, mu, m, start)
@@ -289,34 +287,42 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
     s = np.empty(k * d, complex)
     s3 = s.reshape(k, d, 1)
     with np.errstate(all="ignore"):
-        for steps in range(_ABERTH_STEPS + 1):
-            acz = ac * zc
-            np.divide(1.0, (zc - a3) * (1.0 - acz), out=r)
-            np.multiply((acz * zc - a3) * r, r, out=fp_terms)
-            np.matmul(terms, mw, out=sums)
-            f = m + zc * f_sum
-            if steps == _ABERTH_STEPS:
+        for run_on in (False, True):
+            converged = False
+            for steps in range(_ABERTH_STEPS + 1):
+                acz = ac * zc
+                np.divide(1.0, (zc - a3) * (1.0 - acz), out=r)
+                np.multiply((acz * zc - a3) * r, r, out=fp_terms)
+                np.matmul(terms, mw, out=sums)
+                f = m + zc * f_sum
+                if steps == _ABERTH_STEPS:
+                    break
+                zb = zr.conjugate()
+                np.subtract(zc, zr, out=gaps3)
+                diagonal[...] = np.inf    # drops 1/(z_i - z_i)
+                # g_k' = 1 + |a_k|^2 - 2 conj(a_k) z, and
+                # 1/(z_i - 1/conj(z_j)) written to stay finite at z_j = 0
+                np.subtract((aa1 - 2.0 * acz) * r - 1.0 / gaps3,
+                            zb / (zc * zb - 1.0), out=gaps3)
+                np.dot(gaps, ones, out=s)
+                step = f / (fp_sum + f * s3)
+                converged = bool(abs(step / zc).max() <= _ABERTH_TOL)
+                if converged:
+                    break
+                np.subtract(zc, step, out=zc, where=np.isfinite(step))
+            out = abs(zc) > 1.0
+            if run_on or not out.any():
                 break
-            zb = zr.conjugate()
-            np.subtract(zc, zr, out=gaps3)
-            diagonal[...] = np.inf    # drops 1/(z_i - z_i)
-            # g_k' = 1 + |a_k|^2 - 2 conj(a_k) z, and 1/(z_i - 1/conj(z_j))
-            # written to stay finite at z_j = 0
-            np.subtract((aa1 - 2.0 * acz) * r - 1.0 / gaps3,
-                        zb / (zc * zb - 1.0), out=gaps3)
-            np.dot(gaps, ones, out=s)
-            step = f / (fp_sum + f * s3)
-            if abs(step / zc).max() <= _ABERTH_TOL:
-                return zr.reshape(k, d), True, r, f.reshape(k, d)
-            np.subtract(zc, step, out=zc, where=np.isfinite(step))
-    return zr.reshape(k, d), False, r, f.reshape(k, d)
+            np.divide(1.0, zc.conjugate(), out=zc, where=out)
+    return zr.reshape(k, d), converged, r, f.reshape(k, d)
 
 
 def _aberth_scalar(a: np.ndarray, mu: np.ndarray, m: int,
                    start: Optional[np.ndarray]) -> tuple:
     """``_aberth`` on a stack of one product in plain Python complex
     arithmetic, with numpy's non-finite semantics (a step that is not
-    finite, or divides by zero, is not taken); ``r`` and ``f`` come as
+    finite, or divides by zero, is not taken) and the same run on from
+    the mirrors of points outside the disk; ``r`` and ``f`` come as
     nested lists.  One simple zero starts unturned at its exact root."""
     zeros, d = a[0].tolist(), a.shape[1]
     terms = _terms(a, mu)
@@ -329,29 +335,37 @@ def _aberth_scalar(a: np.ndarray, mu: np.ndarray, m: int,
     else:
         zs = [x + (_one_zero_critical(x, m + d - 1) - x) * _TURNED
               for x in zeros]
-    converged = False
-    for steps in range(_ABERTH_STEPS + 1):
-        ev = [_sums(terms, m, z) for z in zs]
-        if steps == _ABERTH_STEPS:
+    for run_on in (False, True):
+        converged = False
+        for steps in range(_ABERTH_STEPS + 1):
+            ev = [_sums(terms, m, z) for z in zs]
+            if steps == _ABERTH_STEPS:
+                break
+            zbs = [z.conjugate() for z in zs]
+            moved, converged = [], True
+            for i, (z, (r, f, fp)) in enumerate(zip(zs, ev)):
+                step, t = _NAN, 0j    # numpy's step where a division is by 0
+                try:
+                    for j, (zj, zbj, (c1, c2), rj) in enumerate(
+                            zip(zs, zbs, slopes, r)):
+                        t += (c1 - c2 * z) * rj - zbj / (z * zbj - 1.0)
+                        if j != i:
+                            t -= 1.0 / (z - zj)
+                    step = f / (fp + f * t)
+                    converged = converged and abs(step / z) <= _ABERTH_TOL
+                except (ZeroDivisionError, OverflowError):
+                    converged = False
+                moved.append(z - step if cmath.isfinite(step) else z)
+            if converged:
+                break
+            zs = moved
+        try:
+            out = [abs(z) > 1.0 for z in zs]
+        except OverflowError:    # a modulus past the largest float fails
             break
-        zbs = [z.conjugate() for z in zs]
-        moved, converged = [], True
-        for i, (z, (r, f, fp)) in enumerate(zip(zs, ev)):
-            step, t = _NAN, 0j    # numpy's step where a division is by 0
-            try:
-                for j, (zj, zbj, (c1, c2), rj) in enumerate(
-                        zip(zs, zbs, slopes, r)):
-                    t += (c1 - c2 * z) * rj - zbj / (z * zbj - 1.0)
-                    if j != i:
-                        t -= 1.0 / (z - zj)
-                step = f / (fp + f * t)
-                converged = converged and abs(step / z) <= _ABERTH_TOL
-            except (ZeroDivisionError, OverflowError):
-                converged = False
-            moved.append(z - step if cmath.isfinite(step) else z)
-        if converged:
+        if run_on or not any(out):
             break
-        zs = moved
+        zs = [1.0 / z.conjugate() if o else z for z, o in zip(zs, out)]
     return (np.array([zs]), converged, [[r for r, _, _ in ev]],
             [[f for _, f, _ in ev]])
 
@@ -394,36 +408,25 @@ def _one_zero_critical(a, m: int):
 
 
 def _checked(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
-             r: Optional[np.ndarray] = None, f: Optional[np.ndarray] = None
-             ) -> tuple[np.ndarray, list[Optional[str]]]:
-    """The ``(k, d)`` points ``z`` with those outside the disk reflected
-    (onto roots of ``F`` too), and for each row why its points fail as
-    free critical points of the product of zeros ``a`` with multiplicities
+             r: np.ndarray, f: np.ndarray) -> list[Optional[str]]:
+    """For each row of the ``(k, d)`` points ``z``, why they fail as free
+    critical points of the product of zeros ``a`` with multiplicities
     ``mu``, or ``None`` if they pass.  The tests take the factored
     numerator ``M = f prod_k g_k`` of ``B'`` through ``_aberth``'s ``f =
     m + z sum_k mu_k w_k/g_k``: the relative residual of ``M`` is ``|f|/(m
     + |z| sum_k mu_k w_k/|g_k|)``, and ``|B'/prod_k phi_k^(mu_k-1)| =
     |z^(m-1) M/Q^2|`` is ``|z|^(m-1) |f| prod_k |phi_k|``, with ``|phi_k|
     = |z-a_k|^2/|g_k|``, so no product over the other zeros is formed.
-    ``r`` (``1/g_k`` at each point, ``(k, d, d)``) and ``f`` are those
-    ``_aberth`` returns for exactly the points ``z``; the points it
-    reflects are evaluated again, and without ``r`` every point is.  A
-    stack of one row with ``d <= _SCALAR_D`` goes to ``_checked_scalar``."""
+    ``r`` (``1/g_k`` at each point, ``(k, d, d)``) and ``f`` are the last
+    evaluation of the ``_aberth`` run that returned exactly the points
+    ``z``; nothing is evaluated again, and a point outside the disk
+    fails.  A stack of one row with ``d <= _SCALAR_D`` goes to
+    ``_checked_scalar``."""
     if len(a) == 1 and a.shape[1] <= _SCALAR_D:
         return _checked_scalar(a, mu, m, z, r, f)
     w = mu * (1.0 - abs(a) ** 2)
     mod = abs(z)
-    out = mod > 1.0
     with np.errstate(all="ignore"):
-        if out.any():
-            z = np.divide(1.0, z.conjugate(), out=z, where=out)
-            mod = abs(z)
-            if r is not None:
-                at = out.nonzero()
-                r_at, f_at = _evaluated(a[at[0]], w[at[0]], m, z[at][:, None])
-                r[at], f[at] = r_at[:, 0], f_at[:, 0]
-        if r is None:
-            r, f = _evaluated(a, w, m, z)
         ar, af = abs(r), abs(f)
         au = abs(z[:, :, None] - a[:, None, :])
         res = af / (m + mod * (ar @ w[:, :, None])[..., 0])
@@ -431,8 +434,8 @@ def _checked(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
     # f is not finite at a zero, where every test then fails
     good = (dv <= CRIT_TOL) & (res < _RESIDUAL_TOL) & (mod < 1.0)
     if good.all():
-        return z, [None] * len(z)
-    return z, [None if ok else _failure(d, q) for ok, d, q in zip(
+        return [None] * len(z)
+    return [None if ok else _failure(d, q) for ok, d, q in zip(
         good.all(axis=1), dv.max(axis=1), res.max(axis=1))]
 
 
@@ -442,44 +445,27 @@ def _failure(dv: float, res: float) -> str:
 
 
 def _checked_scalar(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
-                    r: Optional[list] = None, f: Optional[list] = None
-                    ) -> tuple[list, list[Optional[str]]]:
+                    r: list, f: list) -> list[Optional[str]]:
     """``_checked`` on a stack of one product in plain Python complex
     arithmetic, reading ``_aberth_scalar``'s ``r`` and ``f``; a test that
-    overflows or divides by zero fails, as numpy's inf or NaN would."""
+    overflows fails, as numpy's inf or NaN would."""
     terms = _terms(a, mu)
-    points, dvs, ress, good = [], [], [], True
-    for i, c in enumerate(z[0].tolist()):
+    dvs, ress, good = [], [], True
+    for c, rc, fc in zip(z[0].tolist(), r[0], f[0]):
         mod = math.nan
         try:
-            out = abs(c) > 1.0
-            if out:
-                c = 1.0 / c.conjugate()
-            rc, fc, _ = (_sums(terms, m, c) if out or r is None else
-                         (r[0][i], f[0][i], None))
             mod, af, sw, dv = abs(c), abs(fc), 0.0, 1.0
             for (x, _, w), rk in zip(terms, rc):
                 ar, au = abs(rk), abs(c - x)
                 sw += w * ar
                 dv *= au * ar * au
             res, dv = af / (m + mod * sw), dv * mod ** (m - 1) * af
-        except (ZeroDivisionError, OverflowError):
+        except OverflowError:
             dv = res = math.nan
-        points.append(c)
         dvs.append(dv)
         ress.append(res)
         good = good and dv <= CRIT_TOL and res < _RESIDUAL_TOL and mod < 1.0
-    return [points], [None if good else _failure(max(dvs), max(ress))]
-
-
-def _evaluated(a: np.ndarray, w: np.ndarray, m: int,
-               z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``1/g_k`` at the ``(k, p)`` points ``z`` for the ``(k, d)`` zeros
-    ``a`` with weights ``w = mu (1-|a|^2)``, as ``(k, p, d)``, and ``f =
-    m + z sum_k w_k/g_k`` there, as ``_aberth`` evaluates them."""
-    zc = z[:, :, None]
-    r = 1.0 / ((zc - a[:, None, :]) * (1.0 - a.conjugate()[:, None, :] * zc))
-    return r, m + z * (r @ w[:, :, None])[..., 0]
+    return [None if good else _failure(max(dvs), max(ress))]
 
 
 def _critical_divisors(products: list[BlaschkeProduct],
@@ -520,7 +506,7 @@ def _critical_divisors(products: list[BlaschkeProduct],
         mu = np.array([[k for _, k in nz] for _, nz, _ in members])
         z, _, r, f = (_aberth(a, mu, m) if starts is None else _aberth(
             a, mu, m, np.array([starts[i] for i, _, _ in members])))
-        z, failures = _checked(a, mu, m, z, r, f)
+        failures = _checked(a, mu, m, z, r, f)
         for (i, nonzero, atoms), row, failure in zip(members, z, failures):
             if failure:
                 out[i] = NumericalError(failure)
@@ -538,14 +524,16 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     A zero atom ``mu*a`` gives ``(mu-1)*a`` exactly, ``mu*0`` gives
     ``mu*0``.  The rest are the interior roots of ``F`` over the ``d``
     distinct nonzero zeros, from one ``_aberth`` run at every degree: an
-    Aberth start that does not converge is not retried from another.
-    Points outside the disk are reflected, onto roots of ``F`` too; each
-    must then pass ``|B'| <= CRIT_TOL`` (``B'`` divided by
+    Aberth start that does not converge is not retried from another, and
+    a run that ends on roots outside the disk (mirrors of interior ones)
+    runs on once from their mirrors.  Each point must lie inside the
+    disk and pass ``|B'| <= CRIT_TOL`` (``B'`` divided by
     ``phi_k^(mu_k-1)`` for a multiple zero ``mu_k*a_k``, which only makes
     it larger) and ``|M| < _RESIDUAL_TOL`` times the sum of the moduli of
     the terms of the factored numerator ``M``.  Both are taken in the
     partial-fraction form ``f`` of ``M = f prod_k g_k`` (``_checked``):
-    the same quantities, without products over the other zeros.  This
+    the same quantities, without products over the other zeros, read
+    from the run's last evaluation, at exactly the points it returns.  This
     is the one-product call of the stacked map ``_critical_divisors``,
     through which the experiments map many products of one shape in one
     run; with at most ``_SCALAR_D`` distinct nonzero zeros it runs in
@@ -818,11 +806,9 @@ def phi_1m_closed_form(a: complex, m: int) -> complex:
 
 
 def multiplier_at_zero(B: BlaschkeProduct) -> complex:
-    """``B'(0)``: zero when ``m >= 2``, else the product of the factor
-    derivatives ``((1-conj(a_k))/(1-a_k)) * (-a_k)`` over the free zeros."""
-    if B.m >= 2:
-        return 0j
-    return B.normalization * math.prod(-a for a in B._zeros)
+    """``B'(0)`` by ``BlaschkeProduct.deriv``: zero when ``m >= 2``, else
+    the normalization times the product of the ``-a_k``."""
+    return B.deriv(0j)
 
 
 def boundary_orbit(B: BlaschkeProduct, q: complex, n: int) -> list[complex]:

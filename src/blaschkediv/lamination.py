@@ -273,7 +273,8 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
     NumericalError
         Entries of a level that collide or leave circle order, or a
         pullback or monotonicity violation, all of which mean the float
-        geometry can no longer order the combinatorics.
+        geometry can no longer order the combinatorics; or ``l^depth``
+        slots that cannot be allocated.
     """
     if D.l < 2:
         raise PreconditionError("lamination needs a regular divisor (l >= 2)")
@@ -297,9 +298,14 @@ def lamination_table(D: BoundaryDivisor, depth: int) -> LaminationTable:
             f"{l}^{depth} entries cannot all lie {COLLISION_TOL:g} apart "
             "on the circle")
     one = d ** depth
-    pts = np.ones(size, dtype=complex)
-    turns = np.zeros(size)
-    level, tm, tp, nus = ([0] * size for _ in range(4))
+    try:
+        pts = np.ones(size, dtype=complex)
+        turns = np.zeros(size)
+        level, tm, tp, nus = ([0] * size for _ in range(4))
+    except MemoryError:
+        raise NumericalError(
+            f"the {l}^{depth} slots of the table do not fit in memory"
+        ) from None
     new = np.zeros(1, dtype=int)
     step = size
     for lv in range(1, depth + 1):

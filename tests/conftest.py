@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import signal
 
+import numpy as np
 import pytest
+
+from blaschkediv import blaschke
 
 
 @pytest.fixture
@@ -20,3 +23,27 @@ def deadline():
     yield
     signal.setitimer(signal.ITIMER_REAL, 0.0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(params=["scalar", "numpy"])
+def route(request, monkeypatch) -> str:
+    """Map a lone product of at most ``_SCALAR_D`` distinct nonzero zeros
+    on the scalar route, as the package does, or on numpy."""
+    if request.param == "numpy":
+        monkeypatch.setattr(blaschke, "_SCALAR_D", 0)
+    return request.param
+
+
+@pytest.fixture
+def refused_slots(monkeypatch) -> None:
+    """Make an allocation of 2^41 slots by ``np.ones`` raise
+    ``MemoryError``, as a lamination table of m = 2 and depth 41 does,
+    without requesting the memory."""
+    ones = np.ones
+
+    def refused(shape, *args, **kwargs):
+        if shape == 2 ** 41:
+            raise MemoryError("Unable to allocate 32.0 TiB")
+        return ones(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ones", refused)

@@ -25,6 +25,11 @@ from blaschkediv import blaschke
 from blaschkediv.blaschke import _inverse_terms, _rows
 
 
+#: The scalar route's crossover, read before the ``route`` fixture sets
+#: it to 0 for the numpy route.
+SCALAR_D = blaschke._SCALAR_D
+
+
 def interior_divisor(points) -> Divisor:
     return Divisor([(complex(z), 1) for z in points], "interior")
 
@@ -115,6 +120,22 @@ def test_deriv_finite_difference_oracle():
         fd = (B.eval(z + h) - B.eval(z - h)) / (2.0 * h)
         exact = B.deriv(z)
         assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+def test_deriv_on_the_circle_is_the_angular_derivative():
+    # |B'(q)| = m + sum_k mu_k (1-|a_k|^2)/|q-a_k|^2 at |q| = 1, with
+    # doubled zeros among the draws
+    rng = np.random.default_rng(3503)
+    for i in range(60):
+        e, m = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        a = (0.7, 0.9, 0.999)[i % 3] * np.sqrt(rng.random(e)) * np.exp(
+            2j * np.pi * rng.random(e))
+        mu = rng.integers(1, 3, e)
+        B = from_zero_divisor(
+            Divisor(list(zip(a.tolist(), mu.tolist())), "interior"), m)
+        for q in np.exp(2j * np.pi * rng.random(8)).tolist():
+            rate = m + (mu * (1.0 - abs(a) ** 2) / abs(q - a) ** 2).sum()
+            assert abs(abs(B.deriv(q)) - rate) <= 1e-12 * rate
 
 
 def test_critical_divisor_closed_form_spot_value():
@@ -471,7 +492,6 @@ def factored_verdicts(a, mu, m, norm, z) -> np.ndarray:
     g_j`` of ``B'``, with the products over the other zeros by prefix
     and suffix cumulative products, and ``B'/prod_k phi_k^(mu_k-1) =
     norm z^(m-1) M/Q^2``; per row, whether every point passes."""
-    z = np.where(abs(z) > 1.0, 1.0 / z.conjugate(), z)
     zc = z[:, :, None]
     h = 1.0 - a.conjugate()[:, None, :] * zc
     g = (zc - a[:, None, :]) * h
@@ -506,22 +526,23 @@ def test_partial_fraction_check_matches_the_factored_form(monkeypatch):
         for move in (0.0, 1e-9, 1e-6, 1e-3):
             moved = z * (1.0 + move * np.exp(2j * np.pi * rng.random(z.shape)))
             with np.errstate(all="ignore"):
-                want = factored_verdicts(a, mu, m, norm, moved.copy())[0]
-            got = blaschke._checked(a, mu, m, moved.copy())[1][0] is None
+                want = factored_verdicts(a, mu, m, norm, moved)[0]
+            got = blaschke._checked(a, mu, m, moved, *fresh_evaluation(
+                a, mu, m, moved)[:2])[0] is None
             assert got == want, (e, m, r, move)
             verdicts.append(got)
     assert 0 < sum(verdicts) < len(verdicts)
     # the scalar run of a subnormal zero starts at its exact root, where
     # the check still fails, since its 1/g_k overflows
     a, mu = np.array([[2.2250738585e-313 + 0j]]), np.ones((1, 1), int)
-    z, _, _, _ = blaschke._aberth(a, mu, 1)
-    assert blaschke._checked(a, mu, 1, z)[1][0] is not None
+    z, _, r, f = blaschke._aberth(a, mu, 1)
+    assert blaschke._checked(a, mu, 1, z, r, f)[0] is not None
     # and the numpy run's points fail both forms
     monkeypatch.setattr(blaschke, "_SCALAR_D", 0)
-    z, _, _, _ = blaschke._aberth(a, mu, 1)
+    z, _, r, f = blaschke._aberth(a, mu, 1)
     with np.errstate(all="ignore"):
-        assert not factored_verdicts(a, mu, 1, np.ones(1), z.copy())[0]
-    assert blaschke._checked(a, mu, 1, z.copy())[1][0] is not None
+        assert not factored_verdicts(a, mu, 1, np.ones(1), z)[0]
+    assert blaschke._checked(a, mu, 1, z, r, f)[0] is not None
 
 
 def fresh_evaluation(a, mu, m, z):
@@ -534,28 +555,26 @@ def fresh_evaluation(a, mu, m, z):
             m + abs(z) * (abs(r) * w).sum(axis=2))
 
 
-def assert_check_reads_the_run(a, mu, m, run) -> int:
-    """Assert that the ``r`` and ``f`` of an ``_aberth`` run belong to
-    the points it returns, and that the check given them reaches the
-    verdicts and points of the check re-run at those points; returns the
-    number of rows with a reflected point."""
+def assert_check_reads_the_run(a, mu, m, run) -> None:
+    """Assert that the points of an ``_aberth`` run lie inside the disk,
+    that its ``r`` and ``f`` belong to them, and that the check given
+    them reaches the verdicts of the check given a fresh evaluation."""
     z, _, r, f = run
+    assert (abs(z) < 1.0).all()
     want_r, want_f, scale = fresh_evaluation(a, mu, m, z)
     assert np.allclose(r, want_r, rtol=1e-13, atol=0.0)
     assert (abs(f - want_f) <= 1e-13 * scale).all()
-    got_z, got = blaschke._checked(a, mu, m, z.copy(), r.copy(), f.copy())
-    want_z, want = blaschke._checked(a, mu, m, z.copy())
+    got = blaschke._checked(a, mu, m, z, r, f)
+    want = blaschke._checked(a, mu, m, z, want_r, want_f)
     assert [v is None for v in got] == [v is None for v in want]
-    assert np.array_equal(got_z, want_z)
-    return int((abs(z) > 1.0).any(axis=1).sum())
 
 
 def test_check_reads_aberths_last_evaluation():
-    # stacks of three rows, e = 1..24 at radii 0.7, 0.9 and 0.999; some
-    # runs end on roots outside the disk, which the check reflects and
-    # evaluates again
+    # stacks of three rows, e = 1..24 at radii 0.7, 0.9 and 0.999, run
+    # from the seeds and again from the mirrors of the roots found: that
+    # run ends on roots outside the disk and runs on from their mirrors,
+    # back to the roots inside, evaluated there
     rng = np.random.default_rng(2803)
-    reflected = 0
     for e in range(1, 25):
         for m in (1, 2, 3):
             for _ in range(8):
@@ -563,9 +582,11 @@ def test_check_reads_aberths_last_evaluation():
                 a = radius * np.sqrt(rng.random((3, e))) * np.exp(
                     2j * np.pi * rng.random((3, e)))
                 mu = np.ones((3, e), int)
-                reflected += assert_check_reads_the_run(
-                    a, mu, m, blaschke._aberth(a, mu, m))
-    assert reflected > 0
+                run = blaschke._aberth(a, mu, m)
+                assert_check_reads_the_run(a, mu, m, run)
+                mirrored = blaschke._aberth(a, mu, m, 1.0 / run[0].conjugate())
+                assert_check_reads_the_run(a, mu, m, mirrored)
+                assert mirrored[1] and abs(mirrored[0] - run[0]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2])
@@ -590,10 +611,9 @@ def test_check_reads_the_capped_run_of_a_triple_atom(monkeypatch):
     runs, aberth = [], blaschke._aberth
 
     def recorded(a, mu, m, start=None):
-        z, converged, r, f = aberth(a, mu, m, start)
-        # copies, since the check reflects into the arrays it is given
-        runs.append((a, mu, m, (z.copy(), converged, r.copy(), f.copy())))
-        return z, converged, r, f
+        run = aberth(a, mu, m, start)
+        runs.append((a, mu, m, run))
+        return run
 
     monkeypatch.setattr(blaschke, "_aberth", recorded)
     with pytest.raises(NumericalError, match="round trip off"):
@@ -601,15 +621,6 @@ def test_check_reads_the_capped_run_of_a_triple_atom(monkeypatch):
     ((a, mu, m, run),) = runs
     assert not run[1]
     assert_check_reads_the_run(a, mu, m, run)
-
-
-@pytest.fixture(params=["scalar", "numpy"])
-def route(request, monkeypatch) -> str:
-    """Map a lone product of at most ``_SCALAR_D`` distinct nonzero zeros
-    on the scalar route, as the package does, or on numpy."""
-    if request.param == "numpy":
-        monkeypatch.setattr(blaschke, "_SCALAR_D", 0)
-    return request.param
 
 
 def test_one_zero_critical_is_the_same_for_numbers_and_arrays():
@@ -651,6 +662,25 @@ def test_scalar_check_reads_the_evaluation_at_the_step_cap(steps,
             assert_check_reads_the_run(a, mu, 2, run)
 
 
+def test_a_lone_run_that_ends_outside_runs_on_from_the_mirrors(route):
+    # started at the mirrors of its roots, exterior roots of F, the run of
+    # a lone product ends outside the disk and runs on, in the same call,
+    # back to the roots inside, where its last evaluation is
+    rng = np.random.default_rng(3501)
+    for d in range(1, SCALAR_D + 1):
+        for radius in (0.7, 0.999):
+            for m in (1, 2, 3):
+                a = radius * np.sqrt(rng.random((1, d))) * np.exp(
+                    2j * np.pi * rng.random((1, d)))
+                mu = np.ones((1, d), int)
+                z = blaschke._aberth(a, mu, m)[0]
+                run = blaschke._aberth(a, mu, m, 1.0 / z.conjugate())
+                assert isinstance(run[2], list) == (route == "scalar")
+                assert run[1] and abs(run[0] - z).max() <= 1e-15
+                assert_check_reads_the_run(a, mu, m, run)
+                assert blaschke._checked(a, mu, m, run[0], *run[2:]) == [None]
+
+
 def test_aberth_converges_on_real_zeros_on_both_routes(route, monkeypatch):
     runs, aberth = [], blaschke._aberth
 
@@ -661,12 +691,12 @@ def test_aberth_converges_on_real_zeros_on_both_routes(route, monkeypatch):
 
     monkeypatch.setattr(blaschke, "_aberth", recorded)
     rng = np.random.default_rng(3303)
-    for e in range(1, blaschke._SCALAR_D + 1):
+    for e in range(1, SCALAR_D + 1):
         for _ in range(20):
             zeros = rng.uniform(-0.95, 0.95, e)
             critical_divisor(from_zero_divisor(interior_divisor(zeros),
                                                int(rng.integers(1, 4))))
-    assert runs == [(True, route == "scalar")] * (20 * blaschke._SCALAR_D)
+    assert runs == [(True, route == "scalar")] * (20 * SCALAR_D)
 
 
 def test_scalar_route_equals_the_numpy_route(monkeypatch):
@@ -680,8 +710,8 @@ def test_scalar_route_equals_the_numpy_route(monkeypatch):
         monkeypatch.setattr(blaschke, "_SCALAR_D", scalar_d)
         z, converged, r, f = blaschke._aberth(a, mu, m, start)
         assert isinstance(r, list) == (scalar_d > 0)
-        z, (failure,) = blaschke._checked(a, mu, m, z, r, f)
-        return np.array(z)[0], converged, failure is None
+        (failure,) = blaschke._checked(a, mu, m, z, r, f)
+        return z[0], converged, failure is None
 
     rng = np.random.default_rng(3304)
     crossover = blaschke._SCALAR_D
@@ -706,9 +736,9 @@ def test_scalar_route_equals_the_numpy_route(monkeypatch):
 
 def test_forward_map_needs_no_factored_derivative(monkeypatch):
     def refuse(*args):
-        raise AssertionError("_deriv called")
+        raise AssertionError("BlaschkeProduct.deriv called")
 
-    monkeypatch.setattr(blaschke, "_deriv", refuse)
+    monkeypatch.setattr(BlaschkeProduct, "deriv", refuse)
     B = from_zero_divisor(Divisor([(0.3 + 0.2j, 2), (-0.5j, 1)], "interior"), 2)
     assert critical_divisor(B).free_ram.degree == 3
     assert walsh_check(B)
@@ -1134,7 +1164,7 @@ def test_boundary_orbit_rejects_interior_point():
         boundary_orbit(B, 0.5 + 0j, 3)
 
 
-@pytest.mark.parametrize("n", [2.5, math.nan, "3", None, -1])
+@pytest.mark.parametrize("n", [2.5, math.nan, "3", None, -1, True])
 def test_boundary_orbit_refuses_a_non_integer_length(n):
     B = from_zero_divisor(Divisor([], "interior"), 2)
     with pytest.raises(PreconditionError,
@@ -1163,7 +1193,7 @@ def test_boundary_orbit_takes_an_integral_length_of_any_type(n):
     assert boundary_orbit(B, 1j, n) == boundary_orbit(B, 1j, 3)
 
 
-@pytest.mark.parametrize("m", [1.5, 0, math.nan, "1", np.int64(0)])
+@pytest.mark.parametrize("m", [1.5, 0, math.nan, "1", np.int64(0), True])
 def test_m_refusals_keep_their_message(m):
     Z = interior_divisor([0.5])
     R = interior_divisor([0.3])

@@ -435,6 +435,15 @@ def test_exit_numerical(capsys):
     assert json.loads(err)["error"] == "NumericalError"
 
 
+def test_exit_numerical_table_too_large_for_memory(capsys, refused_slots):
+    code, out, err = run_cli(
+        capsys, ["lamination", "--divisor", '{"m": 2}', "--depth", "41"])
+    assert code == 3 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "NumericalError"
+    assert "2^41" in diagnostic["message"]
+
+
 def test_exit_numerical_subnormal_zero(capsys):
     code, out, err = run_cli(
         capsys, ["critpts", "--zeros", "[2.2250738585e-313]", "--m", "1"])

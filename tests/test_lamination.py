@@ -350,6 +350,11 @@ def test_level_short_of_entries_raises():
         lamination_table(D, 5)
 
 
+def test_a_table_too_large_for_memory_is_a_numerical_error(refused_slots):
+    with pytest.raises(NumericalError, match=r"2\^41 slots"):
+        lamination_table(make_boundary([], 2, []), 41)
+
+
 def seeded_boundaries(seed: int, count: int):
     """Seeded regular divisors, m = 1..3 with zero to two free zeros
     inside radius 0.9 and one or two support atoms, with depths up to 6
