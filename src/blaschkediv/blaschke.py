@@ -11,16 +11,13 @@ checked at the run's last evaluation, the one at which its step fell
 below the tolerance, without evaluating them again.  A run that ends on
 roots outside the disk, the mirrors of interior ones, runs on once from
 their mirrors, so that its last evaluation is still at the interior
-points it returns.  That run takes a
-stack of products at once: ``critical_divisor`` maps one product, and the
-experiments map all their products of one shape (the same number of
-distinct nonzero zeros and local degree at 0) in one run, each product
-getting the points it would get alone.  A stack of one product with at
-most ``_SCALAR_D`` distinct nonzero zeros, below the measured crossover
-where numpy's fixed cost per call dominates, takes the same run and
-check in plain Python complex arithmetic.  The product's own ``eval``
-and ``deriv`` are one scalar pass over its factors each.  Nothing here expands ``B`` into
-polynomial coefficients; only the lamination's preimage solve does.  The
+points it returns.  One run solves one product, as Aberth's method is a
+per-polynomial one.  A product with at most ``_SCALAR_D`` distinct
+nonzero zeros, below the measured crossover where numpy's fixed cost per
+call dominates, takes the same run and check in plain Python complex
+arithmetic.  The product's own ``eval`` and ``deriv`` are one scalar
+pass over its factors each.  Nothing here expands ``B`` into polynomial
+coefficients; only the lamination's preimage solve does.  The
 inverse solves for the zeros themselves by Newton's method on the
 conditions that the partial-fraction form of ``B'/B`` vanish at the
 prescribed points (with multiplicity).  It tries the target at once
@@ -39,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,12 +75,14 @@ _MIN_STEP = 1e-6
 #: from some roots (5.2-5.8 mean steps for each of 0.05-0.3 measured).
 _TURN = 0.2
 _TURNED = cmath.exp(1j * _TURN)
-#: Largest number ``d`` of distinct nonzero zeros at which a stack of one
-#: product takes the forward map in plain Python complex arithmetic
+#: Largest number ``d`` of distinct nonzero zeros at which a product
+#: takes the forward map in plain Python complex arithmetic
 #: (``_aberth_scalar``, ``_checked_scalar``), where numpy's fixed cost per
-#: call dominates: from the seeds the scalar run took 0.14-0.17 of numpy's
-#: time at d = 1, 0.85-0.96 at d = 5 and 1.13-1.27 at d = 6 (paired, in
-#: process, on a 2-core VM); from points near the roots 0.79-0.89 at d = 5.
+#: call dominates: against the numpy run and check of the same product
+#: (60 draws per d at radius 0.9, best of 3, five paired repetitions in
+#: process on a 2-core VM), from the seeds the scalar route took 0.62-0.71
+#: of numpy's time at d = 4, 0.83-1.01 at d = 5 and 1.12-1.31 at d = 6;
+#: from points near the roots 0.86-0.93 at d = 5 and 1.16-1.29 at d = 6.
 _SCALAR_D = 5
 _NAN = complex(math.nan, math.nan)
 
@@ -229,83 +228,76 @@ def from_zero_divisor(Z: Divisor, m: int) -> BlaschkeProduct:
 
 
 def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
-            start: Optional[np.ndarray] = None) -> tuple:
-    """Up to ``_ABERTH_STEPS`` Aberth steps, on each row ``i`` of the
-    ``(k, d)`` stacks ``a`` and ``mu`` at once, on the interior roots of
-    ``F = f prod_k g_k``, ``f = m + z sum_k mu_k w_k/g_k``, with
-    ``g_k = (z-a_k)(1-conj(a_k)z)``, ``w_k = 1-|a_k|^2`` over the ``d``
-    distinct nonzero zeros ``a_k = a[i, k]`` of multiplicity ``mu_k``,
-    from the factored ``F'/F = f'/f + sum_k g_k'/g_k`` with the mirrored
-    roots ``1/conj(z_j)`` deflated.  A step is written ``f/(f' + f S)``,
-    ``S`` being ``sum_k g_k'/g_k`` less the deflation, so it is 0 where
-    ``f`` is (where ``1/(f'/f + S)`` is not finite); non-finite steps are
-    not taken.  The run starts at the ``(k, d)`` points ``start`` if
-    given, which must not repeat within a row (``1/(z_i-z_j)`` is then
-    not finite and the copies never part); by default the start for
-    ``a_k`` is the critical point of the one-zero product
-    ``z^(m+d-1) (z-a_k)/(1-conj(a_k)z)``, as if the other zeros sat at
-    the origin, turned about ``a_k`` by ``_TURN``; about the zero, since
-    near the circle the root is within ``sqrt(1-|a_k|)`` of it.  Aberth
-    is a local method, so a start near the roots saves steps and changes
-    nothing else: a converged run holds ``d`` roots of ``F`` wherever it
-    began.  The rows are independent problems stepped
-    together until every step of every row falls below ``_ABERTH_TOL *
-    |z|``; a row that has converged keeps taking its (vanishing) steps.
-    A run that ends with a point outside the disk, the mirror of an
-    interior root of ``F``, runs on once, from ``1/conj(z)`` there, so
-    the points it returns lie inside the disk unless that second run
-    leaves it again.  Returns the ``(k, d)`` points at which the last run
-    stopped (at the step cap, those after its last step), whether it
-    converged, and its last evaluation, at exactly those points, which
-    ``_checked`` reads: ``1/g_k`` at each point as ``(k, d, d)`` and
-    ``f`` as ``(k, d)``.  A stack of one row with ``d <= _SCALAR_D`` runs
-    in ``_aberth_scalar`` instead."""
-    k, d = a.shape
-    if k == 1 and d <= _SCALAR_D:
+            start: Optional[Sequence[complex]] = None) -> tuple:
+    """Up to ``_ABERTH_STEPS`` Aberth steps on the interior roots of ``F =
+    f prod_k g_k``, ``f = m + z sum_k mu_k w_k/g_k``, with ``g_k =
+    (z-a_k)(1-conj(a_k)z)``, ``w_k = 1-|a_k|^2`` over the ``d`` distinct
+    nonzero zeros ``a_k`` of multiplicity ``mu_k``, from the factored
+    ``F'/F = f'/f + sum_k g_k'/g_k`` with the mirrored roots
+    ``1/conj(z_j)`` deflated.  A step is written ``f/(f' + f S)``, ``S``
+    being ``sum_k g_k'/g_k`` less the deflation, so it is 0 where ``f``
+    is (where ``1/(f'/f + S)`` is not finite); non-finite steps are not
+    taken.  The run starts at the ``d`` points ``start`` if given, which
+    must not repeat (``1/(z_i-z_j)`` is then not finite and the copies
+    never part); by default the start for ``a_k`` is the critical point
+    of the one-zero product ``z^(m+d-1) (z-a_k)/(1-conj(a_k)z)``, as if
+    the other zeros sat at the origin, turned about ``a_k`` by ``_TURN``;
+    about the zero, since near the circle the root is within
+    ``sqrt(1-|a_k|)`` of it.  Aberth is a local method, so a start near
+    the roots saves steps and changes nothing else: a converged run holds
+    ``d`` roots of ``F`` wherever it began.  The run stops once every
+    step falls below ``_ABERTH_TOL * |z|``.  A run that ends with a point
+    outside the disk, the mirror of an interior root of ``F``, runs on
+    once, from ``1/conj(z)`` there, so the points it returns lie inside
+    the disk unless that second run leaves it again.  Returns the ``d``
+    points at which the last run stopped (at the step cap, those after
+    its last step), whether it converged, and its last evaluation, at
+    exactly those points, which ``_checked`` reads: ``1/g_k`` at each
+    point as ``(d, d)`` and ``f`` as ``(d,)``.  With ``d <= _SCALAR_D``
+    it runs in ``_aberth_scalar`` instead."""
+    d = len(a)
+    if d <= _SCALAR_D:
         return _aberth_scalar(a, mu, m, start)
     aa = abs(a) ** 2
-    a3 = a[:, None, :]
-    ac, aa1 = a3.conjugate(), (1.0 + aa)[:, None, :]
-    # complex weights, since a complex product is the fastest sum numpy
-    # has; a row's @ rounds as a one-row dot does
-    mw = (mu * (1.0 - aa)).astype(complex)[:, :, None]
+    ac, aa1 = a.conjugate(), 1.0 + aa
+    # complex weights, since a complex product is the fastest sum numpy has
+    mw = (mu * (1.0 - aa)).astype(complex)[:, None]
     ones = np.ones(d, complex)
-    # the points as columns zc, and the same memory as rows zr
+    # the points as a column zc, and the same memory as a row zr
     if start is None:
         start = a + (_one_zero_critical(a, m + d - 1) - a) * _TURNED
-    zc = np.array(start, complex).reshape(k, d, 1)
-    zr = zc.reshape(k, 1, d)
-    # 1/g_k in the first d rows of a block and the terms of f' in the
-    # last d, so that one @ takes both weighted sums
-    terms = np.empty((k, 2 * d, d), complex)
-    sums = np.empty((k, 2 * d, 1), complex)
-    r, fp_terms, f_sum, fp_sum = (terms[:, :d], terms[:, d:], sums[:, :d],
-                                  sums[:, d:])
+    zc = np.array(start, complex).reshape(d, 1)
+    zr = zc.reshape(1, d)
+    # 1/g_k in the first d rows and the terms of f' in the last d, so
+    # that one @ takes both weighted sums
+    terms = np.empty((2 * d, d), complex)
+    sums = np.empty((2 * d, 1), complex)
+    r, fp_terms, f_sum, fp_sum = terms[:d], terms[d:], sums[:d], sums[d:]
     # z_i - z_j, then the terms of S, and their sums by a one-call dot
-    gaps = np.empty((k * d, d), complex)
-    gaps3, diagonal = gaps.reshape(k, d, d), gaps.reshape(k, d * d)[:, ::d + 1]
-    s = np.empty(k * d, complex)
-    s3 = s.reshape(k, d, 1)
+    gaps = np.empty((d, d), complex)
+    diagonal = gaps.reshape(d * d)[::d + 1]
+    s = np.empty(d, complex)
+    sc = s[:, None]
     with np.errstate(all="ignore"):
         for run_on in (False, True):
             converged = False
             for steps in range(_ABERTH_STEPS + 1):
                 acz = ac * zc
-                np.divide(1.0, (zc - a3) * (1.0 - acz), out=r)
-                np.multiply((acz * zc - a3) * r, r, out=fp_terms)
+                np.divide(1.0, (zc - a) * (1.0 - acz), out=r)
+                np.multiply((acz * zc - a) * r, r, out=fp_terms)
                 np.matmul(terms, mw, out=sums)
                 f = m + zc * f_sum
                 if steps == _ABERTH_STEPS:
                     break
                 zb = zr.conjugate()
-                np.subtract(zc, zr, out=gaps3)
+                np.subtract(zc, zr, out=gaps)
                 diagonal[...] = np.inf    # drops 1/(z_i - z_i)
                 # g_k' = 1 + |a_k|^2 - 2 conj(a_k) z, and
                 # 1/(z_i - 1/conj(z_j)) written to stay finite at z_j = 0
-                np.subtract((aa1 - 2.0 * acz) * r - 1.0 / gaps3,
-                            zb / (zc * zb - 1.0), out=gaps3)
+                np.subtract((aa1 - 2.0 * acz) * r - 1.0 / gaps,
+                            zb / (zc * zb - 1.0), out=gaps)
                 np.dot(gaps, ones, out=s)
-                step = f / (fp_sum + f * s3)
+                step = f / (fp_sum + f * sc)
                 converged = bool(abs(step / zc).max() <= _ABERTH_TOL)
                 if converged:
                     break
@@ -314,23 +306,23 @@ def _aberth(a: np.ndarray, mu: np.ndarray, m: int,
             if run_on or not out.any():
                 break
             np.divide(1.0, zc.conjugate(), out=zc, where=out)
-    return zr.reshape(k, d), converged, r, f.reshape(k, d)
+    return zr[0], converged, r, f[:, 0]
 
 
 def _aberth_scalar(a: np.ndarray, mu: np.ndarray, m: int,
-                   start: Optional[np.ndarray]) -> tuple:
-    """``_aberth`` on a stack of one product in plain Python complex
-    arithmetic, with numpy's non-finite semantics (a step that is not
-    finite, or divides by zero, is not taken) and the same run on from
-    the mirrors of points outside the disk; ``r`` and ``f`` come as
-    nested lists.  One simple zero starts unturned at its exact root."""
-    zeros, d = a[0].tolist(), a.shape[1]
+                   start: Optional[Sequence[complex]]) -> tuple:
+    """``_aberth`` in plain Python complex arithmetic, with numpy's
+    non-finite semantics (a step that is not finite, or divides by zero,
+    is not taken) and the same run on from the mirrors of points outside
+    the disk; the points, ``r`` and ``f`` come as lists.  One simple zero
+    starts unturned at its exact root."""
+    zeros, d = a.tolist(), len(a)
     terms = _terms(a, mu)
     # g_k'/g_k = (1 + |a_k|^2 - 2 conj(a_k) z)/g_k
     slopes = [(1.0 + abs(x) ** 2, 2.0 * x.conjugate()) for x in zeros]
     if start is not None:
-        zs = start[0].tolist()
-    elif d == 1 and mu[0, 0] == 1:
+        zs = [complex(z) for z in start]
+    elif d == 1 and mu[0] == 1:
         zs = [_one_zero_critical(zeros[0], m)]
     else:
         zs = [x + (_one_zero_critical(x, m + d - 1) - x) * _TURNED
@@ -366,14 +358,13 @@ def _aberth_scalar(a: np.ndarray, mu: np.ndarray, m: int,
         if run_on or not any(out):
             break
         zs = [1.0 / z.conjugate() if o else z for z, o in zip(zs, out)]
-    return (np.array([zs]), converged, [[r for r, _, _ in ev]],
-            [[f for _, f, _ in ev]])
+    return zs, converged, [r for r, _, _ in ev], [f for _, f, _ in ev]
 
 
 def _terms(a: np.ndarray, mu: np.ndarray) -> list:
-    """``_sums``' ``(a_k, conj(a_k), mu_k (1-|a_k|^2))`` of a one-row stack."""
+    """``_sums``' ``(a_k, conj(a_k), mu_k (1-|a_k|^2))`` of the zeros ``a``."""
     return [(x, x.conjugate(), k * (1.0 - abs(x) ** 2))
-            for x, k in zip(a[0].tolist(), mu[0].tolist())]
+            for x, k in zip(a.tolist(), mu.tolist())]
 
 
 def _sums(terms: list, m: int, z: complex) -> tuple[list, complex, complex]:
@@ -408,35 +399,32 @@ def _one_zero_critical(a, m: int):
 
 
 def _checked(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
-             r: np.ndarray, f: np.ndarray) -> list[Optional[str]]:
-    """For each row of the ``(k, d)`` points ``z``, why they fail as free
-    critical points of the product of zeros ``a`` with multiplicities
-    ``mu``, or ``None`` if they pass.  The tests take the factored
-    numerator ``M = f prod_k g_k`` of ``B'`` through ``_aberth``'s ``f =
-    m + z sum_k mu_k w_k/g_k``: the relative residual of ``M`` is ``|f|/(m
-    + |z| sum_k mu_k w_k/|g_k|)``, and ``|B'/prod_k phi_k^(mu_k-1)| =
-    |z^(m-1) M/Q^2|`` is ``|z|^(m-1) |f| prod_k |phi_k|``, with ``|phi_k|
-    = |z-a_k|^2/|g_k|``, so no product over the other zeros is formed.
-    ``r`` (``1/g_k`` at each point, ``(k, d, d)``) and ``f`` are the last
+             r: np.ndarray, f: np.ndarray) -> Optional[str]:
+    """Why the ``d`` points ``z`` fail as free critical points of the
+    product of zeros ``a`` with multiplicities ``mu``, or ``None`` if
+    they pass.  The tests take the factored numerator ``M = f prod_k
+    g_k`` of ``B'`` through ``_aberth``'s ``f = m + z sum_k mu_k
+    w_k/g_k``: the relative residual of ``M`` is ``|f|/(m + |z| sum_k
+    mu_k w_k/|g_k|)``, and ``|B'/prod_k phi_k^(mu_k-1)| = |z^(m-1)
+    M/Q^2|`` is ``|z|^(m-1) |f| prod_k |phi_k|``, with ``|phi_k| =
+    |z-a_k|^2/|g_k|``, so no product over the other zeros is formed.
+    ``r`` (``1/g_k`` at each point, ``(d, d)``) and ``f`` are the last
     evaluation of the ``_aberth`` run that returned exactly the points
     ``z``; nothing is evaluated again, and a point outside the disk
-    fails.  A stack of one row with ``d <= _SCALAR_D`` goes to
-    ``_checked_scalar``."""
-    if len(a) == 1 and a.shape[1] <= _SCALAR_D:
+    fails.  With ``d <= _SCALAR_D`` it goes to ``_checked_scalar``."""
+    if len(a) <= _SCALAR_D:
         return _checked_scalar(a, mu, m, z, r, f)
     w = mu * (1.0 - abs(a) ** 2)
     mod = abs(z)
     with np.errstate(all="ignore"):
         ar, af = abs(r), abs(f)
-        au = abs(z[:, :, None] - a[:, None, :])
-        res = af / (m + mod * (ar @ w[:, :, None])[..., 0])
-        dv = mod ** (m - 1) * af * (au * ar * au).prod(axis=2)
+        au = abs(z[:, None] - a)
+        res = af / (m + mod * (ar @ w))
+        dv = mod ** (m - 1) * af * (au * ar * au).prod(axis=1)
     # f is not finite at a zero, where every test then fails
-    good = (dv <= CRIT_TOL) & (res < _RESIDUAL_TOL) & (mod < 1.0)
-    if good.all():
-        return [None] * len(z)
-    return [None if ok else _failure(d, q) for ok, d, q in zip(
-        good.all(axis=1), dv.max(axis=1), res.max(axis=1))]
+    if ((dv <= CRIT_TOL) & (res < _RESIDUAL_TOL) & (mod < 1.0)).all():
+        return None
+    return _failure(dv.max(), res.max())
 
 
 def _failure(dv: float, res: float) -> str:
@@ -444,14 +432,14 @@ def _failure(dv: float, res: float) -> str:
             f"residual {res:.3g}, or lies outside the disk")
 
 
-def _checked_scalar(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
-                    r: list, f: list) -> list[Optional[str]]:
-    """``_checked`` on a stack of one product in plain Python complex
-    arithmetic, reading ``_aberth_scalar``'s ``r`` and ``f``; a test that
-    overflows fails, as numpy's inf or NaN would."""
+def _checked_scalar(a: np.ndarray, mu: np.ndarray, m: int, z: list,
+                    r: list, f: list) -> Optional[str]:
+    """``_checked`` in plain Python complex arithmetic, reading
+    ``_aberth_scalar``'s ``r`` and ``f``; a test that overflows fails, as
+    numpy's inf or NaN would."""
     terms = _terms(a, mu)
     dvs, ress, good = [], [], True
-    for c, rc, fc in zip(z[0].tolist(), r[0], f[0]):
+    for c, rc, fc in zip(z, r, f):
         mod = math.nan
         try:
             mod, af, sw, dv = abs(c), abs(fc), 0.0, 1.0
@@ -465,57 +453,35 @@ def _checked_scalar(a: np.ndarray, mu: np.ndarray, m: int, z: np.ndarray,
         dvs.append(dv)
         ress.append(res)
         good = good and dv <= CRIT_TOL and res < _RESIDUAL_TOL and mod < 1.0
-    return [None if good else _failure(max(dvs), max(ress))]
+    return None if good else _failure(max(dvs), max(ress))
 
 
-def _critical_divisors(products: list[BlaschkeProduct],
-                       starts: Optional[list] = None) -> list:
-    """The forward map of several products at once: for each, the
-    ``RamificationResult`` that ``critical_divisor`` returns or the error
-    it raises.  Products that share the number ``d`` of distinct nonzero
-    free zeros and the local degree at 0 take one ``_aberth`` run and one
-    ``_checked`` call, as one ``(k, d)`` stack; a product that fails does
-    not keep the others of its stack from their results.  ``starts``, if
-    given, holds for each product the ``d`` points its run starts from
-    in place of the closed-form seeds.  Each success is stored on its
-    product, and a product that has one is not solved again."""
-    out: list = [None] * len(products)
-    groups: dict[tuple[int, int], list] = {}
-    for i, B in enumerate(products):
-        if B._critical is not None:
-            out[i] = RamificationResult(*B._critical)
-        elif B.e < 1:
-            out[i] = PreconditionError(
+def _critical(B: BlaschkeProduct,
+              start: Optional[list[complex]] = None) -> RamificationResult:
+    """``critical_divisor(B)``, whose ``_aberth`` run starts at the ``d``
+    points ``start``, if given, in place of the closed-form seeds."""
+    if B._critical is None:
+        if B.e < 1:
+            raise PreconditionError(
                 "critical_divisor needs at least one free zero")
-        else:
-            nonzero = [(z, mu) for z, mu in B.free_zeros.atoms if z != 0]
-            # the local degree at 0 counts the free zeros there
-            m = B.m + B.e - sum(mu for _, mu in nonzero)
-            # a zero atom mu*a gives (mu-1)*a exactly, mu*0 gives mu*0
-            atoms = [(z, mu - 1) for z, mu in nonzero if mu > 1]
-            if m > B.m:
-                atoms.append((0j, m - B.m))
-            if nonzero:
-                groups.setdefault((len(nonzero), m), []).append(
-                    (i, nonzero, atoms))
-            else:
-                B._critical = (Divisor(atoms, REGION_INTERIOR), 0)
-                out[i] = RamificationResult(*B._critical)
-    for (_, m), members in groups.items():
-        a = np.array([[z for z, _ in nz] for _, nz, _ in members])
-        mu = np.array([[k for _, k in nz] for _, nz, _ in members])
-        z, _, r, f = (_aberth(a, mu, m) if starts is None else _aberth(
-            a, mu, m, np.array([starts[i] for i, _, _ in members])))
-        failures = _checked(a, mu, m, z, r, f)
-        for (i, nonzero, atoms), row, failure in zip(members, z, failures):
+        nonzero = [(z, mu) for z, mu in B.free_zeros.atoms if z != 0]
+        # the local degree at 0 counts the free zeros there
+        m = B.m + B.e - sum(mu for _, mu in nonzero)
+        # a zero atom mu*a gives (mu-1)*a exactly, mu*0 gives mu*0
+        atoms = [(z, mu - 1) for z, mu in nonzero if mu > 1]
+        if m > B.m:
+            atoms.append((0j, m - B.m))
+        if nonzero:
+            a = np.array([z for z, _ in nonzero])
+            mu = np.array([k for _, k in nonzero])
+            z, _, r, f = _aberth(a, mu, m, start)
+            failure = _checked(a, mu, m, z, r, f)
             if failure:
-                out[i] = NumericalError(failure)
-                continue
-            atoms.extend((complex(c), 1) for c in row)
-            products[i]._critical = (Divisor(atoms, REGION_INTERIOR),
-                                     sum(mu for _, mu in nonzero))
-            out[i] = RamificationResult(*products[i]._critical)
-    return out
+                raise NumericalError(failure)
+            atoms.extend((complex(c), 1) for c in z)
+        B._critical = (Divisor(atoms, REGION_INTERIOR),
+                       sum(mu for _, mu in nonzero))
+    return RamificationResult(*B._critical)
 
 
 def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
@@ -533,12 +499,10 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
     the terms of the factored numerator ``M``.  Both are taken in the
     partial-fraction form ``f`` of ``M = f prod_k g_k`` (``_checked``):
     the same quantities, without products over the other zeros, read
-    from the run's last evaluation, at exactly the points it returns.  This
-    is the one-product call of the stacked map ``_critical_divisors``,
-    through which the experiments map many products of one shape in one
-    run; with at most ``_SCALAR_D`` distinct nonzero zeros it runs in
-    plain Python complex arithmetic (``_aberth_scalar``), whose points
-    equal numpy's within 1e-15 up to radius 0.95.
+    from the run's last evaluation, at exactly the points it returns.
+    With at most ``_SCALAR_D`` distinct nonzero zeros it runs in plain
+    Python complex arithmetic (``_aberth_scalar``), whose points equal
+    numpy's within 1e-15 up to radius 0.95.
 
     The first successful call stores the result on ``B``; later calls on
     the same product return a new ``RamificationResult`` over it without
@@ -552,10 +516,7 @@ def critical_divisor(B: BlaschkeProduct) -> RamificationResult:
         If the computed points fail the check above (as they do for a
         subnormal zero, whose factors overflow).
     """
-    (result,) = _critical_divisors([B])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _critical(B)
 
 
 def _inverse_terms(a: np.ndarray, z: np.ndarray, p: Optional[np.ndarray],
@@ -781,9 +742,7 @@ def zeros_from_critical(R: Divisor, m: int,
              else c for c, k in atoms if c not in fixed for i in range(k)]
     # from the seeds if zeros merged at MERGE_TOL
     d = sum(z != 0 for z, _ in B.free_zeros.atoms)
-    (result,) = _critical_divisors([B], [start] if len(start) == d else None)
-    if isinstance(result, Exception):
-        raise result
+    result = _critical(B, start if len(start) == d else None)
     check = matching_distance(result.free_ram, R)
     if check > 1e-7:
         raise NumericalError(

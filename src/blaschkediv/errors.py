@@ -57,14 +57,15 @@ def _integer(value, name: str, least: int,
              message: Optional[str] = None) -> int:
     """``value`` as an ``int``, refusing with ``PreconditionError`` a
     value that is not an integer (a numpy integer counts, and so does a
-    float when it is integral, while ``True`` and ``False`` do not, as in
-    the JSON reader) or that is below ``least``.  ``message``, when given,
-    replaces both refusals' messages."""
+    float when it is integral, while ``True``, ``False`` and numpy's
+    booleans do not, as in the JSON reader) or that is below ``least``.
+    ``message``, when given, replaces both refusals' messages."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
-    if n is None or n != value or isinstance(value, bool):
+    if (n is None or n != value or isinstance(value, bool)
+            or getattr(value, "dtype", None) == bool):
         raise PreconditionError(
             message or f"{name} must be an integer, got {value!r}")
     if n < least:

@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blaschke import (BlaschkeProduct, _critical_divisors,
-                       _one_zero_critical, _sums, boundary_orbit,
-                       critical_divisor, from_zero_divisor,
+from .blaschke import (BlaschkeProduct, _one_zero_critical, _sums,
+                       boundary_orbit, critical_divisor, from_zero_divisor,
                        multiplier_at_zero)
 from .boundary import BoundaryDivisor, extend_phi
 from .divisor import (Divisor, REGION_INTERIOR, add, divisor_to_json,
@@ -170,13 +169,12 @@ def verify_extension_convergence(D: BoundaryDivisor, m: int,
     critical divisors of the samples sit from the extended image.
 
     For each epsilon, draws ``cfg.samples_per_epsilon`` zero divisors
-    from the epsilon-neighborhood, maps them through the critical-divisor
-    map together (one stacked forward map, ``_critical_divisors``, which
-    gives each sample the points a solo ``critical_divisor`` call would),
-    and records the bottleneck matching distance of each image to
+    from the epsilon-neighborhood, maps each through ``critical_divisor``
+    and records the bottleneck matching distance of its image to
     ``extend_phi(D, m)`` (raw Euclidean, closed-disk).  The report also
     carries a radially projected variant of the distance as an angular
-    diagnostic, and counts solver failures instead of hiding them.
+    diagnostic, and counts each sample whose map raises
+    ``NumericalError`` as a failure instead of hiding it.
     """
     m = _integer(m, "m", 1, "m must be a positive integer")
     rng = np.random.default_rng(cfg.rng_seed)
@@ -184,18 +182,16 @@ def verify_extension_convergence(D: BoundaryDivisor, m: int,
     target_projected = _projected(target)
     profile = []
     for eps in cfg.epsilons:
-        products = [from_zero_divisor(sample_neighborhood(D, m, eps, rng), m)
-                    for _ in range(cfg.samples_per_epsilon)]
         dists = []
         projected = []
         failures = 0
-        for result in _critical_divisors(products):
-            if isinstance(result, NumericalError):
+        for _ in range(cfg.samples_per_epsilon):
+            B = from_zero_divisor(sample_neighborhood(D, m, eps, rng), m)
+            try:
+                closed = critical_divisor(B).free_ram.with_region("closed")
+            except NumericalError:
                 failures += 1
                 continue
-            if isinstance(result, Exception):
-                raise result
-            closed = result.free_ram.with_region("closed")
             dists.append(matching_distance(closed, target))
             projected.append(matching_distance(_projected(closed),
                                                target_projected))
@@ -227,28 +223,15 @@ def _critical_point_near(B: BlaschkeProduct, q: complex) -> complex:
     return dists[0][1]
 
 
-def _orbits_near(products: list[BlaschkeProduct], q: complex,
-                 l: int) -> list:
-    """For each product ``B`` the critical point ``c`` of ``B`` near
-    ``q`` (guarded as in ``_critical_point_near``) and its image
-    ``B^l(c)``, or the ``PreconditionError`` or ``NumericalError`` that
-    stopped it.  One stacked forward map solves them all and stores each
-    critical divisor on its product, where ``_critical_point_near``
-    reads it."""
-    out: list = []
-    for B, result in zip(products, _critical_divisors(products)):
-        if isinstance(result, Exception):
-            out.append(result)
-            continue
-        try:
-            c = w = _critical_point_near(B, q)
-            for _ in range(l):
-                w = B.eval(w)
-        except NumericalError as exc:
-            out.append(exc)
-            continue
-        out.append((c, w))
-    return out
+def _orbit_near(B: BlaschkeProduct, q: complex,
+                l: int) -> tuple[complex, complex]:
+    """The critical point ``c`` of ``B`` near ``q`` (guarded as in
+    ``_critical_point_near``) and its image ``B^l(c)``; raises the
+    ``PreconditionError`` or ``NumericalError`` that stops either."""
+    c = w = _critical_point_near(B, q)
+    for _ in range(l):
+        w = B.eval(w)
+    return c, w
 
 
 def _check_orbit_preconditions(D: BoundaryDivisor, q: complex, l: int,
@@ -287,9 +270,8 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
     radially inside each support point; the report records the distance
     from ``B_n^l(c_q(B_n))`` to ``B^l(q)`` plus the renormalized
     (angular) discrepancy as a diagnostic.  Every ``n`` is checked before
-    any is solved, and all ``B_n`` of the schedule are mapped together
-    (one stacked forward map, ``_critical_divisors``); the first failing
-    ``n`` of the schedule raises its error.
+    any ``B_n`` is solved, and the first ``n`` of the schedule whose
+    ``B_n`` fails raises its error.
     """
     l = _integer(l, "l", 1)
     q = complex(q)
@@ -299,10 +281,8 @@ def verify_cont_orbit(D: BoundaryDivisor, q: complex, l: int,
     products = [from_zero_divisor(_radial_approach(D, n), m)
                 for n in n_schedule]
     rows = []
-    for n, orbit in zip(n_schedule, _orbits_near(products, q, l)):
-        if isinstance(orbit, Exception):
-            raise orbit
-        c, w = orbit
+    for n, B in zip(n_schedule, products):
+        c, w = _orbit_near(B, q, l)
         rows.append({
             "n": n,
             "critical_point": [c.real, c.imag],
@@ -491,12 +471,10 @@ def prescribe_distance(D: BoundaryDivisor, q: complex, l: int, L: float,
             return None
         evals += 1
         try:
-            product = from_zero_divisor(Divisor(
-                base_atoms + [(zeta, 1)], REGION_INTERIOR), m)
-        except PreconditionError:
+            return _orbit_near(from_zero_divisor(Divisor(
+                base_atoms + [(zeta, 1)], REGION_INTERIOR), m), q, l)
+        except (PreconditionError, NumericalError):
             return None
-        (val,) = _orbits_near([product], q, l)
-        return None if isinstance(val, Exception) else val
 
     def h(zeta: complex) -> Optional[complex]:
         val = full(zeta)

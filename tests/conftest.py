@@ -35,6 +35,20 @@ def route(request, monkeypatch) -> str:
 
 
 @pytest.fixture
+def aberth_calls(monkeypatch) -> list:
+    """Record the arguments ``(a, mu, m, start)`` of each ``_aberth`` run,
+    one run per forward map that solves."""
+    calls, aberth = [], blaschke._aberth
+
+    def counted(*args):
+        calls.append(args)
+        return aberth(*args)
+
+    monkeypatch.setattr(blaschke, "_aberth", counted)
+    return calls
+
+
+@pytest.fixture
 def refused_slots(monkeypatch) -> None:
     """Make an allocation of 2^41 slots by ``np.ones`` raise
     ``MemoryError``, as a lamination table of m = 2 and depth 41 does,

@@ -486,27 +486,27 @@ def test_critical_divisor_subnormal_zero_is_a_numerical_error():
         critical_divisor(B)
 
 
-def factored_verdicts(a, mu, m, norm, z) -> np.ndarray:
+def factored_verdicts(a, mu, m, norm, z) -> bool:
     """Reference for ``blaschke._checked``: the same three tests on the
     factored numerator ``M = m prod_k g_k + z sum_k mu_k w_k prod_(j!=k)
     g_j`` of ``B'``, with the products over the other zeros by prefix
     and suffix cumulative products, and ``B'/prod_k phi_k^(mu_k-1) =
-    norm z^(m-1) M/Q^2``; per row, whether every point passes."""
-    zc = z[:, :, None]
-    h = 1.0 - a.conjugate()[:, None, :] * zc
-    g = (zc - a[:, None, :]) * h
-    ones = np.ones(z.shape + (1,))
-    others = (np.cumprod(np.concatenate((ones, g), axis=2), axis=2)[..., :-1]
-              * np.cumprod(np.concatenate((ones, g[..., ::-1]), axis=2),
-                           axis=2)[..., -2::-1])
-    w = (mu * (1.0 - abs(a) ** 2))[:, :, None]
-    mpq = m * g.prod(axis=2)
-    mv = mpq + z * (others @ w)[..., 0]
-    dv = norm[:, None] * z ** (m - 1) * mv / h.prod(axis=2) ** 2
-    terms = abs(mpq) + abs(z) * (abs(others) @ w)[..., 0]
-    return ((abs(dv) <= blaschke.CRIT_TOL)
-            & (abs(mv) < blaschke._RESIDUAL_TOL * terms)
-            & (abs(z) < 1.0)).all(axis=1)
+    norm z^(m-1) M/Q^2``; whether every point passes."""
+    zc = z[:, None]
+    h = 1.0 - a.conjugate() * zc
+    g = (zc - a) * h
+    ones = np.ones((len(z), 1))
+    others = (np.cumprod(np.concatenate((ones, g), axis=1), axis=1)[:, :-1]
+              * np.cumprod(np.concatenate((ones, g[:, ::-1]), axis=1),
+                           axis=1)[:, -2::-1])
+    w = mu * (1.0 - abs(a) ** 2)
+    mpq = m * g.prod(axis=1)
+    mv = mpq + z * (others @ w)
+    dv = norm * z ** (m - 1) * mv / h.prod(axis=1) ** 2
+    terms = abs(mpq) + abs(z) * (abs(others) @ w)
+    return bool(((abs(dv) <= blaschke.CRIT_TOL)
+                 & (abs(mv) < blaschke._RESIDUAL_TOL * terms)
+                 & (abs(z) < 1.0)).all())
 
 
 def test_partial_fraction_check_matches_the_factored_form(monkeypatch):
@@ -519,74 +519,77 @@ def test_partial_fraction_check_matches_the_factored_form(monkeypatch):
         r = (0.7, 0.9, 0.999, 0.999999)[i % 4]
         a = r * np.sqrt(rng.random(e)) * np.exp(2j * np.pi * rng.random(e))
         mu = np.full(e, 2 if i % 5 == 0 else 1)
-        norm = np.array([from_zero_divisor(
-            Divisor(list(zip(a, mu.tolist())), "interior"), m).normalization])
-        a, mu = a[None], mu[None]
-        z, _, _, _ = blaschke._aberth(a, mu, m)
+        norm = from_zero_divisor(
+            Divisor(list(zip(a, mu.tolist())), "interior"), m).normalization
+        z = np.asarray(blaschke._aberth(a, mu, m)[0])
         for move in (0.0, 1e-9, 1e-6, 1e-3):
             moved = z * (1.0 + move * np.exp(2j * np.pi * rng.random(z.shape)))
             with np.errstate(all="ignore"):
-                want = factored_verdicts(a, mu, m, norm, moved)[0]
+                want = factored_verdicts(a, mu, m, norm, moved)
             got = blaschke._checked(a, mu, m, moved, *fresh_evaluation(
-                a, mu, m, moved)[:2])[0] is None
+                a, mu, m, moved)[:2]) is None
             assert got == want, (e, m, r, move)
             verdicts.append(got)
     assert 0 < sum(verdicts) < len(verdicts)
     # the scalar run of a subnormal zero starts at its exact root, where
     # the check still fails, since its 1/g_k overflows
-    a, mu = np.array([[2.2250738585e-313 + 0j]]), np.ones((1, 1), int)
+    a, mu = np.array([2.2250738585e-313 + 0j]), np.ones(1, int)
     z, _, r, f = blaschke._aberth(a, mu, 1)
-    assert blaschke._checked(a, mu, 1, z, r, f)[0] is not None
+    assert blaschke._checked(a, mu, 1, z, r, f) is not None
     # and the numpy run's points fail both forms
     monkeypatch.setattr(blaschke, "_SCALAR_D", 0)
     z, _, r, f = blaschke._aberth(a, mu, 1)
     with np.errstate(all="ignore"):
-        assert not factored_verdicts(a, mu, 1, np.ones(1), z)[0]
-    assert blaschke._checked(a, mu, 1, z, r, f)[0] is not None
+        assert not factored_verdicts(a, mu, 1, 1.0, z)
+    assert blaschke._checked(a, mu, 1, z, r, f) is not None
 
 
 def fresh_evaluation(a, mu, m, z):
     """``1/g_k``, ``f = m + z sum_k mu_k w_k/g_k`` and the sum of the
-    moduli of the terms of ``f`` at the ``(k, d)`` points ``z``."""
-    zc = z[:, :, None]
-    r = 1.0 / ((zc - a[:, None, :]) * (1.0 - a.conjugate()[:, None, :] * zc))
-    w = (mu * (1.0 - abs(a) ** 2))[:, None, :]
-    return (r, m + z * (r * w).sum(axis=2),
-            m + abs(z) * (abs(r) * w).sum(axis=2))
+    moduli of the terms of ``f`` at the ``d`` points ``z``."""
+    z = np.asarray(z)
+    zc = z[:, None]
+    r = 1.0 / ((zc - a) * (1.0 - a.conjugate() * zc))
+    w = mu * (1.0 - abs(a) ** 2)
+    return (r, m + z * (r * w).sum(axis=1),
+            m + abs(z) * (abs(r) * w).sum(axis=1))
 
 
 def assert_check_reads_the_run(a, mu, m, run) -> None:
     """Assert that the points of an ``_aberth`` run lie inside the disk,
     that its ``r`` and ``f`` belong to them, and that the check given
-    them reaches the verdicts of the check given a fresh evaluation."""
+    them reaches the verdict of the check given a fresh evaluation."""
     z, _, r, f = run
-    assert (abs(z) < 1.0).all()
+    assert (abs(np.asarray(z)) < 1.0).all()
     want_r, want_f, scale = fresh_evaluation(a, mu, m, z)
     assert np.allclose(r, want_r, rtol=1e-13, atol=0.0)
-    assert (abs(f - want_f) <= 1e-13 * scale).all()
+    assert (abs(np.asarray(f) - want_f) <= 1e-13 * scale).all()
     got = blaschke._checked(a, mu, m, z, r, f)
     want = blaschke._checked(a, mu, m, z, want_r, want_f)
-    assert [v is None for v in got] == [v is None for v in want]
+    assert (got is None) == (want is None)
 
 
 def test_check_reads_aberths_last_evaluation():
-    # stacks of three rows, e = 1..24 at radii 0.7, 0.9 and 0.999, run
-    # from the seeds and again from the mirrors of the roots found: that
-    # run ends on roots outside the disk and runs on from their mirrors,
-    # back to the roots inside, evaluated there
+    # three products of e = 1..24 zeros, at radii 0.7, 0.9 and 0.999,
+    # run from the seeds and again from the mirrors of the roots found:
+    # that run ends on roots outside the disk and runs on from their
+    # mirrors, back to the roots inside, evaluated there
     rng = np.random.default_rng(2803)
     for e in range(1, 25):
         for m in (1, 2, 3):
             for _ in range(8):
                 radius = np.array([0.7, 0.9, 0.999])[:, None]
-                a = radius * np.sqrt(rng.random((3, e))) * np.exp(
+                rows = radius * np.sqrt(rng.random((3, e))) * np.exp(
                     2j * np.pi * rng.random((3, e)))
-                mu = np.ones((3, e), int)
-                run = blaschke._aberth(a, mu, m)
-                assert_check_reads_the_run(a, mu, m, run)
-                mirrored = blaschke._aberth(a, mu, m, 1.0 / run[0].conjugate())
-                assert_check_reads_the_run(a, mu, m, mirrored)
-                assert mirrored[1] and abs(mirrored[0] - run[0]).max() <= 1e-15
+                mu = np.ones(e, int)
+                for a in rows:
+                    run = blaschke._aberth(a, mu, m)
+                    assert_check_reads_the_run(a, mu, m, run)
+                    z = np.asarray(run[0])
+                    mirrored = blaschke._aberth(a, mu, m, 1.0 / z.conjugate())
+                    assert_check_reads_the_run(a, mu, m, mirrored)
+                    assert mirrored[1]
+                    assert abs(np.asarray(mirrored[0]) - z).max() <= 1e-15
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2])
@@ -596,13 +599,14 @@ def test_check_reads_the_evaluation_at_the_step_cap(steps, monkeypatch):
     monkeypatch.setattr(blaschke, "_ABERTH_STEPS", steps)
     rng = np.random.default_rng(2804)
     for e in (1, 2, 5, 12, 24):
-        a = 0.9 * np.sqrt(rng.random((2, e))) * np.exp(
+        rows = 0.9 * np.sqrt(rng.random((2, e))) * np.exp(
             2j * np.pi * rng.random((2, e)))
-        mu = np.ones((2, e), int)
-        run = blaschke._aberth(a, mu, 2)
-        # one zero's seed is its exact critical point
-        assert not run[1] or e == 1
-        assert_check_reads_the_run(a, mu, 2, run)
+        mu = np.ones(e, int)
+        for a in rows:
+            run = blaschke._aberth(a, mu, 2)
+            # one zero's seed is its exact critical point
+            assert not run[1] or e == 1
+            assert_check_reads_the_run(a, mu, 2, run)
 
 
 def test_check_reads_the_capped_run_of_a_triple_atom(monkeypatch):
@@ -651,10 +655,10 @@ def test_scalar_check_reads_the_evaluation_at_the_step_cap(steps,
     rng = np.random.default_rng(3302)
     for d in range(1, blaschke._SCALAR_D + 1):
         for doubled in (0, 1):
-            a = 0.9 * np.sqrt(rng.random((1, d))) * np.exp(
-                2j * np.pi * rng.random((1, d)))
-            mu = np.ones((1, d), int)
-            mu[0, 0] += doubled
+            a = 0.9 * np.sqrt(rng.random(d)) * np.exp(
+                2j * np.pi * rng.random(d))
+            mu = np.ones(d, int)
+            mu[0] += doubled
             run = blaschke._aberth(a, mu, 2)
             assert isinstance(run[2], list)
             # one simple zero starts at its exact root
@@ -670,15 +674,15 @@ def test_a_lone_run_that_ends_outside_runs_on_from_the_mirrors(route):
     for d in range(1, SCALAR_D + 1):
         for radius in (0.7, 0.999):
             for m in (1, 2, 3):
-                a = radius * np.sqrt(rng.random((1, d))) * np.exp(
-                    2j * np.pi * rng.random((1, d)))
-                mu = np.ones((1, d), int)
-                z = blaschke._aberth(a, mu, m)[0]
+                a = radius * np.sqrt(rng.random(d)) * np.exp(
+                    2j * np.pi * rng.random(d))
+                mu = np.ones(d, int)
+                z = np.asarray(blaschke._aberth(a, mu, m)[0])
                 run = blaschke._aberth(a, mu, m, 1.0 / z.conjugate())
                 assert isinstance(run[2], list) == (route == "scalar")
-                assert run[1] and abs(run[0] - z).max() <= 1e-15
+                assert run[1] and abs(np.asarray(run[0]) - z).max() <= 1e-15
                 assert_check_reads_the_run(a, mu, m, run)
-                assert blaschke._checked(a, mu, m, run[0], *run[2:]) == [None]
+                assert blaschke._checked(a, mu, m, run[0], *run[2:]) is None
 
 
 def test_aberth_converges_on_real_zeros_on_both_routes(route, monkeypatch):
@@ -710,8 +714,8 @@ def test_scalar_route_equals_the_numpy_route(monkeypatch):
         monkeypatch.setattr(blaschke, "_SCALAR_D", scalar_d)
         z, converged, r, f = blaschke._aberth(a, mu, m, start)
         assert isinstance(r, list) == (scalar_d > 0)
-        (failure,) = blaschke._checked(a, mu, m, z, r, f)
-        return z[0], converged, failure is None
+        return (np.asarray(z), converged,
+                blaschke._checked(a, mu, m, z, r, f) is None)
 
     rng = np.random.default_rng(3304)
     crossover = blaschke._SCALAR_D
@@ -719,14 +723,14 @@ def test_scalar_route_equals_the_numpy_route(monkeypatch):
         for radius in (0.7, 0.9, 0.999, 1.0 - 1e-6):
             for m in (1, 2, 3):
                 for doubled in (0, 1):
-                    a = radius * np.sqrt(rng.random((1, d))) * np.exp(
-                        2j * np.pi * rng.random((1, d)))
-                    mu = np.ones((1, d), int)
-                    mu[0, 0] += doubled
+                    a = radius * np.sqrt(rng.random(d)) * np.exp(
+                        2j * np.pi * rng.random(d))
+                    mu = np.ones(d, int)
+                    mu[0] += doubled
                     roots = forward(a, mu, m, None, 0)[0]
                     near = roots * (1.0 + 1e-9 * np.exp(
                         2j * np.pi * rng.random(d)))
-                    for start in (None, near[None]):
+                    for start in (None, near):
                         want = forward(a, mu, m, start, 0)
                         got = forward(a, mu, m, start, crossover)
                         assert got[1:] == want[1:], (d, radius, m, doubled)
@@ -829,19 +833,6 @@ def test_critical_divisor_keeps_a_tiny_zeros_critical_point(tiny):
     assert abs(big - phi_1m_closed_form(0.5, 2)) <= 1e-12
 
 
-@pytest.fixture
-def aberth_calls(monkeypatch) -> list:
-    """Record one entry per ``_aberth`` call."""
-    calls, aberth = [], blaschke._aberth
-
-    def counted(*args):
-        calls.append(args)
-        return aberth(*args)
-
-    monkeypatch.setattr(blaschke, "_aberth", counted)
-    return calls
-
-
 def test_critical_divisor_reuses_the_inverse_check(aberth_calls):
     B = zeros_from_critical(interior_divisor([0.3, 0.2 + 0.4j]), 2)
     aberth_calls.clear()
@@ -914,7 +905,7 @@ def test_inverse_check_starts_at_R(aberth_calls):
                 B = zeros_from_critical(R, m)
                 ((_, _, _, start),) = aberth_calls
                 assert matching_distance(Divisor(
-                    [(z, 1) for z in start[0]], "interior"), R) == 0.0
+                    [(z, 1) for z in start], "interior"), R) == 0.0
                 fresh = critical_divisor(BlaschkeProduct(B.free_zeros, m))
                 assert matching_distance(critical_divisor(B).free_ram,
                                          fresh.free_ram) <= 1e-12
@@ -948,7 +939,7 @@ def test_inverse_check_spreads_a_repeated_atom(aberth_calls):
     R = Divisor([(0.3 + 0.1j, 2), (-0.5j, 1)], "interior")
     zeros_from_critical(R, 1)
     ((_, _, _, start),) = aberth_calls
-    near = sorted(abs(start[0] - (0.3 + 0.1j)))
+    near = sorted(abs(np.asarray(start) - (0.3 + 0.1j)))
     assert near[0] == near[1] == pytest.approx(1e-4, rel=1e-9)
     assert near[2] > 0.5
 
@@ -978,8 +969,8 @@ def test_inverse_check_skips_a_fixed_zero_atom(aberth_calls):
     aberth_calls.clear()
     B = zeros_from_critical(R, 1)
     ((_, _, _, start),) = aberth_calls
-    assert len(start[0]) == 2
-    assert matching_distance(Divisor([(z, 1) for z in start[0]], "interior"),
+    assert len(start) == 2
+    assert matching_distance(Divisor([(z, 1) for z in start], "interior"),
                              Divisor([(c, k) for c, k in R.atoms
                                       if abs(c - (0.3 + 0.1j)) > 1e-12],
                                      "interior")) == 0.0
@@ -1038,46 +1029,6 @@ def test_critical_divisor_failure_is_not_stored(aberth_calls, monkeypatch):
     with pytest.raises(NumericalError):
         critical_divisor(B)
     assert solves == 1 and len(aberth_calls) == 2 * solves
-
-
-def test_stacked_map_equals_one_map_per_product(aberth_calls):
-    rng = np.random.default_rng(2510)
-    inputs = [(random_zeros(rng, e, 0.95), m)
-              for e in (1, 2, 3, 5, 8, 13) for m in (1, 2, 3)
-              for _ in range(3)]
-    inputs += [
-        (interior_divisor([0, 0.3 + 0.1j, -0.5j]), 1),           # a zero at 0
-        (Divisor([(0.4 + 0.2j, 2), (-0.3 + 0j, 1)], "interior"), 1),
-        (interior_divisor([2.2250738585e-313]), 1),  # fails, beside e = 1
-        (Divisor([], "interior"), 2),                # e = 0, never solved
-    ]
-    stacked = blaschke._critical_divisors(
-        [from_zero_divisor(Z, m) for Z, m in inputs])
-    # one run per (e, m): the zero at 0 joins the two distinct zeros of
-    # local degree 2 at 0, the double zero those of m = 1, and the
-    # subnormal zero the e = 1, m = 1 run
-    assert len(aberth_calls) == 6 * 3
-    assert sum(len(a) for a, _, _ in aberth_calls) == 6 * 3 * 3 + 3
-    for (Z, m), got in zip(inputs, stacked):
-        try:
-            want = critical_divisor(from_zero_divisor(Z, m))
-        except (NumericalError, PreconditionError) as exc:
-            assert type(got) is type(exc)
-            continue
-        assert matching_distance(got.free_ram, want.free_ram) <= 1e-15
-        assert got.residual_count == want.residual_count
-
-
-def test_stacked_map_stores_each_result(aberth_calls):
-    products = [from_zero_divisor(interior_divisor([0.3, 0.5j]), 1),
-                from_zero_divisor(interior_divisor([0.2, -0.6j]), 1)]
-    first = blaschke._critical_divisors(products)
-    assert len(aberth_calls) == 1
-    for B, result in zip(products, first):
-        assert critical_divisor(B).free_ram == result.free_ram
-    assert blaschke._critical_divisors(products)[1].free_ram == \
-        first[1].free_ram
-    assert len(aberth_calls) == 1
 
 
 @pytest.mark.parametrize("name", ["m", "free_zeros", "normalization"])
@@ -1164,7 +1115,7 @@ def test_boundary_orbit_rejects_interior_point():
         boundary_orbit(B, 0.5 + 0j, 3)
 
 
-@pytest.mark.parametrize("n", [2.5, math.nan, "3", None, -1, True])
+@pytest.mark.parametrize("n", [2.5, math.nan, "3", None, -1, True, np.True_])
 def test_boundary_orbit_refuses_a_non_integer_length(n):
     B = from_zero_divisor(Divisor([], "interior"), 2)
     with pytest.raises(PreconditionError,
@@ -1193,7 +1144,8 @@ def test_boundary_orbit_takes_an_integral_length_of_any_type(n):
     assert boundary_orbit(B, 1j, n) == boundary_orbit(B, 1j, 3)
 
 
-@pytest.mark.parametrize("m", [1.5, 0, math.nan, "1", np.int64(0), True])
+@pytest.mark.parametrize("m", [1.5, 0, math.nan, "1", np.int64(0), True,
+                               np.True_])
 def test_m_refusals_keep_their_message(m):
     Z = interior_divisor([0.5])
     R = interior_divisor([0.3])

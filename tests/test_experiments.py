@@ -197,34 +197,58 @@ def test_extension_sweep_refuses_a_non_integral_m(m):
         sample_neighborhood(D, m, 1e-2, np.random.default_rng(1))
 
 
-@pytest.fixture
-def aberth_rows(monkeypatch) -> list:
-    """Record the number of stacked products of each ``_aberth`` run."""
-    rows, aberth = [], blaschke._aberth
+def failing_checks(monkeypatch, failures: dict) -> None:
+    """Make the ``k``-th ``_checked`` call fail with ``failures[k]``, so
+    that the forward map of that call raises ``NumericalError``."""
+    calls, checked = [], blaschke._checked
 
-    def counted(a, mu, m):
-        rows.append(len(a))
-        return aberth(a, mu, m)
+    def patched(*args):
+        calls.append(args)
+        return failures.get(len(calls)) or checked(*args)
 
-    monkeypatch.setattr(blaschke, "_aberth", counted)
-    return rows
+    monkeypatch.setattr(blaschke, "_checked", patched)
 
 
-def test_extension_sweep_maps_each_epsilon_in_one_run(aberth_rows):
+def sample_distances(D, m: int, cfg: SweepConfig) -> list:
+    """The sweep's samples mapped one by one: for each epsilon, the
+    matching distance of each sample's image to the extended image."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    target = extend_phi(D, m)
+    return [[matching_distance(critical_divisor(from_zero_divisor(
+        sample_neighborhood(D, m, eps, rng), m)).free_ram.with_region(
+            "closed"), target) for _ in range(cfg.samples_per_epsilon)]
+        for eps in cfg.epsilons]
+
+
+def test_extension_sweep_maps_each_sample_once(aberth_calls):
     D = make_boundary([0.6], 1, [(0.25, 1)])
     cfg = SweepConfig([1e-2, 1e-3], 8, 5)
     report = verify_extension_convergence(D, 1, cfg)
-    # the target's own forward map, then one run per epsilon
-    assert aberth_rows == [1, 8, 8]
-    # the same samples mapped one by one give the same rows
-    rng = np.random.default_rng(cfg.rng_seed)
-    target = extend_phi(D, 1)
-    for eps, row in zip(cfg.epsilons, report["profile"]):
-        dists = [matching_distance(critical_divisor(from_zero_divisor(
-            sample_neighborhood(D, 1, eps, rng), 1)).free_ram.with_region(
-                "closed"), target) for _ in range(8)]
-        assert abs(row["max_distance"] - max(dists)) <= 1e-12
-        assert abs(row["mean_distance"] - sum(dists) / 8) <= 1e-12
+    # the target's own forward map, then one run per sample
+    assert len(aberth_calls) == 1 + 8 + 8
+    for dists, row in zip(sample_distances(D, 1, cfg), report["profile"]):
+        assert row["max_distance"] == max(dists)
+        assert row["mean_distance"] == sum(dists) / 8
+
+
+def test_extension_sweep_counts_a_failed_map_and_keeps_the_others(
+        monkeypatch):
+    # the 4th sample of the first epsilon fails (the target's own map is
+    # the 1st check); the other samples keep their distances
+    D = make_boundary([0.6], 1, [(0.25, 1)])
+    cfg = SweepConfig([1e-2, 1e-3], 8, 5)
+    want = verify_extension_convergence(D, 1, cfg)
+    dists = sample_distances(D, 1, cfg)[0]
+    failing_checks(monkeypatch, {5: "patched failure"})
+    got = verify_extension_convergence(D, 1, cfg)
+    first, second = got["profile"]
+    assert first["failures"] == 1
+    kept = dists[:3] + dists[4:]
+    assert first["max_distance"] == max(kept)
+    assert first["mean_distance"] == sum(kept) / 7
+    assert second == want["profile"][1]
+    assert {k: v for k, v in got.items() if k != "profile"} == {
+        k: v for k, v in want.items() if k != "profile"}
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +277,29 @@ def test_orbit_reference_profile():
     assert rows[1]["distance"] < rows[0]["distance"]
 
 
-def test_orbit_schedule_is_one_run_checked_before_it(aberth_rows):
+def test_orbit_schedule_is_checked_before_any_run(aberth_calls):
     D, q = orbit_reference(), turn(1.0 / 3.0)
     verify_cont_orbit(D, q, 1, [10, 100, 1000])
-    assert aberth_rows == [3]
+    assert len(aberth_calls) == 3
     with pytest.raises(PreconditionError):
         verify_cont_orbit(D, q, 1, [100, 1000, 1])
-    assert aberth_rows == [3]
+    assert len(aberth_calls) == 3
+
+
+def test_orbit_schedule_raises_the_first_failure_after_every_check(
+        aberth_calls, monkeypatch):
+    D, q = orbit_reference(), turn(1.0 / 3.0)
+    # an invalid n stops the schedule before the failing map of the first
+    with monkeypatch.context() as patch:
+        failing_checks(patch, {1: "first n"})
+        with pytest.raises(PreconditionError):
+            verify_cont_orbit(D, q, 1, [10, 100, 1])
+    assert aberth_calls == []
+    # of two failing maps, the first raises
+    failing_checks(monkeypatch, {2: "second n", 3: "third n"})
+    with pytest.raises(NumericalError, match="^second n$"):
+        verify_cont_orbit(D, q, 1, [10, 100, 1000])
+    assert len(aberth_calls) == 2
 
 
 def test_orbit_fixed_point_needs_single_application():
@@ -288,10 +328,10 @@ def test_orbit_rejects_intermediate_support_hit():
 @pytest.mark.parametrize("l, schedule", [
     (1.5, [100]), (math.nan, [100]), (1, [100.5]), (1, [100, math.nan]),
     (1, [100, math.inf])])
-def test_orbit_refuses_non_integral_parameters(l, schedule, aberth_rows):
+def test_orbit_refuses_non_integral_parameters(l, schedule, aberth_calls):
     with pytest.raises(PreconditionError):
         verify_cont_orbit(orbit_reference(), turn(1.0 / 3.0), l, schedule)
-    assert aberth_rows == []
+    assert aberth_calls == []
 
 
 def test_orbit_takes_integral_floats_as_integers():
@@ -331,12 +371,12 @@ def nearest_critical_point(B, q: complex) -> complex:
     return ranked[0]
 
 
-def test_prescribe_certificate_runs_one_forward_map(aberth_rows):
+def test_prescribe_certificate_runs_one_forward_map(aberth_calls):
     cert = prescribe_distance(orbit_reference(), turn(1.0 / 3.0), 1, 1.0,
                               eps=0.2)
     # the starts are ranked by tracked evaluations, so the basin check of
     # the root Newton found is the only forward map
-    assert aberth_rows == [1]
+    assert len(aberth_calls) == 1
     assert cert.residual <= 1e-6
 
 
@@ -488,8 +528,9 @@ def test_prescribe_starts_track_the_point_the_full_evaluation_picks(
         for others, m, zeta, t in starts:
             B = from_zero_divisor(Divisor(
                 [(z, 1) for z in (*others, zeta)], "interior"), m)
-            (guarded,) = experiments._orbits_near([B], q, l)
-            if isinstance(guarded, Exception):
+            try:
+                guarded = experiments._orbit_near(B, q, l)
+            except NumericalError:
                 continue
             assert t is not None
             assert abs(t[0] - guarded[0]) <= 1e-9
@@ -591,15 +632,15 @@ def test_prescribe_refuses_non_finite_scalars(L, eps, tau, deadline):
     (1, 1e-3, 0), (1, 1e-3, -1), (1, 1e-3, None), (1.5, 1e-3, 8),
     (math.nan, 1e-3, 8), (math.inf, 1e-3, 8)])
 def test_prescribe_refuses_bad_tau_attempts_and_l_before_any_solve(
-        l, tau, max_attempts, aberth_rows, deadline):
+        l, tau, max_attempts, aberth_calls, deadline):
     with pytest.raises(PreconditionError):
         prescribe_distance(orbit_reference(), turn(1.0 / 3.0), l, 1.0,
                            eps=0.2, tau=tau, max_attempts=max_attempts)
-    assert aberth_rows == []
+    assert aberth_calls == []
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-7, 1e-6])
-def test_prescribe_disk_without_a_root_fails_cheaply(eps, aberth_rows,
+def test_prescribe_disk_without_a_root_fails_cheaply(eps, aberth_calls,
                                                      deadline):
     # the root lies about 5.7e-4 from q, outside these disks; at 1e-12
     # the halved search square is soon narrower than the quadtree's
@@ -609,7 +650,7 @@ def test_prescribe_disk_without_a_root_fails_cheaply(eps, aberth_rows,
                            eps=eps)
     # every forward map is a full evaluation of the winding search or a
     # basin check; a fixed sampling of the cell edges ran thousands
-    assert len(aberth_rows) <= 200
+    assert len(aberth_calls) <= 200
 
 
 @pytest.mark.parametrize("L, eps", [(1.0, 0.2), (0.5, 0.2), (1.0, 1e-6),
@@ -619,7 +660,7 @@ def test_prescribe_counts_the_evaluations_it_runs(L, eps, monkeypatch,
     # a point that the eps-disk or the guard radius refuses reaches no
     # map and is not counted
     calls = {"tracked": 0, "full": 0}
-    track, orbits = experiments._tracked_orbit, experiments._orbits_near
+    track, orbit = experiments._tracked_orbit, experiments._orbit_near
 
     def tracked(*args):
         calls["tracked"] += 1
@@ -627,10 +668,10 @@ def test_prescribe_counts_the_evaluations_it_runs(L, eps, monkeypatch,
 
     def full(*args):
         calls["full"] += 1
-        return orbits(*args)
+        return orbit(*args)
 
     monkeypatch.setattr(experiments, "_tracked_orbit", tracked)
-    monkeypatch.setattr(experiments, "_orbits_near", full)
+    monkeypatch.setattr(experiments, "_orbit_near", full)
     try:
         count = prescribe_distance(orbit_reference(), turn(1.0 / 3.0), 1, L,
                                    eps=eps).iterations

@@ -8,14 +8,14 @@ import pytest
 
 import mp_oracle
 from blaschkediv import Divisor, critical_divisor, from_zero_divisor
-from blaschkediv import blaschke, matching_distance
+from blaschkediv import matching_distance
 
 
 @pytest.fixture(scope="module")
 def products() -> list:
     """Seeded zeros, ``m`` and the oracle's critical points: e = 2, 4, 6,
     8 and 12 zeros inside radius 0.7 and again inside 0.999, with m = 1,
-    2, 3, 1, 2 by e, so that the two draws of each e share one stack."""
+    2, 3, 1, 2 by e."""
     rng = np.random.default_rng(3502)
     out = []
     for i, e in enumerate((2, 4, 6, 8, 12)):
@@ -38,21 +38,6 @@ def test_critical_divisor_matches_the_oracle(products, route):
     for zeros, m, want in products:
         got = critical_divisor(product(zeros, m)).free_ram
         assert matching_distance(got, want) <= 1e-13, (len(zeros), m)
-
-
-def test_stacked_map_matches_the_oracle(products, monkeypatch):
-    rows, aberth = [], blaschke._aberth
-
-    def counted(a, *args):
-        rows.append(len(a))
-        return aberth(a, *args)
-
-    monkeypatch.setattr(blaschke, "_aberth", counted)
-    results = blaschke._critical_divisors(
-        [product(zeros, m) for zeros, m, _ in products])
-    assert rows == [2] * 5
-    for (zeros, m, want), got in zip(products, results):
-        assert matching_distance(got.free_ram, want) <= 1e-13, (len(zeros), m)
 
 
 def test_deriv_at_the_zeros_matches_the_oracle(products):
